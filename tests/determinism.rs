@@ -295,3 +295,67 @@ fn different_seed_changes_the_e1_report() {
         "the seed must actually steer the Monte-Carlo streams"
     );
 }
+
+/// Golden digests (`fnv1a64`) of every experiment's `--fast`, seed-1
+/// trace text, recorded before the event engine was unified. The
+/// cross-thread checks above cannot see an engine change that moves
+/// every trace the same way; these pins can.
+const GOLDEN_TRACE_DIGESTS: &[(&str, u64)] = &[
+    ("e1", 0x5ddbab586c8b3791),
+    ("e2", 0x00a9b37e7c8d1061),
+    ("e3", 0x363e6e67fedeab0d),
+    ("e4", 0xdfceb25fec20a6d6),
+    ("e5", 0xdf28e6a3fecb57a6),
+    ("e6", 0xc797d392796dd35c),
+    ("e7", 0x21aff794d979cbf3),
+    ("e8", 0x12649b5f15ac87f3),
+    ("e9", 0xc33472778de54c15),
+    ("e10", 0xf02f1c22d0a579f0),
+    ("e11", 0x470788c11318c379),
+    ("e12", 0xfb00c9bda6fb4c8d),
+    ("e13", 0x8bca5ab34b0fe530),
+    ("e14", 0x046426a2902843d4),
+];
+
+/// Golden digests of the `--vcd` waveform dumps of e5, e6 and e8
+/// (`--fast`, seed 1), recorded alongside [`GOLDEN_TRACE_DIGESTS`].
+const GOLDEN_VCD_DIGESTS: &[(&str, u64)] = &[
+    ("e5", 0xe35d4a805c82d1e3),
+    ("e6", 0x254a841db18b7630),
+    ("e8", 0x6b1e6cf4499e2005),
+];
+
+#[test]
+fn trace_text_matches_the_golden_digest_for_every_experiment() {
+    let registry = bench::registry();
+    let got: Vec<(&str, u64)> = registry
+        .iter()
+        .map(|exp| (exp.name(), sim_observe::fnv1a64(trace_text(exp, 1, 1).as_bytes())))
+        .collect();
+    let want: Vec<(&str, u64)> = GOLDEN_TRACE_DIGESTS.to_vec();
+    assert_eq!(got, want, "trace digests moved: {got:x?}");
+}
+
+#[test]
+fn vcd_dumps_match_their_golden_digests() {
+    let registry = bench::registry();
+    let mut got = Vec::new();
+    for name in ["e5", "e6", "e8"] {
+        let exp = registry.get(name).expect("registered experiment");
+        let path = std::env::temp_dir().join(format!(
+            "determinism_golden_{name}_{}.vcd",
+            std::process::id()
+        ));
+        let cfg = ExpConfig {
+            seed: 1,
+            vcd: Some(path.to_string_lossy().into_owned()),
+            ..ExpConfig::fast()
+        };
+        let _ = run_experiment(exp, &cfg);
+        let bytes = std::fs::read(&path).expect("the experiment wrote its --vcd dump");
+        let _ = std::fs::remove_file(&path);
+        got.push((name, sim_observe::fnv1a64(&bytes)));
+    }
+    let want: Vec<(&str, u64)> = GOLDEN_VCD_DIGESTS.to_vec();
+    assert_eq!(got, want, "vcd digests moved: {got:x?}");
+}
