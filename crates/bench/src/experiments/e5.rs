@@ -134,8 +134,8 @@ impl Experiment for E5 {
             pair.run_capture(SimTime::from_ps(cfg.size(300_000, 100_000) as u64));
         if let Some(path) = &cfg.vcd {
             let mut w = desim::vcd::VcdWriter::new();
-            for &(net, name) in &pair_signals {
-                w.add_net(&pair_sim, net, name);
+            for &(wire, name) in &pair_signals {
+                w.add_wire(&pair_sim, wire, name);
             }
             // Stderr: stdout must stay byte-identical with and
             // without --vcd. A failure marks the run so the CLI

@@ -103,7 +103,7 @@ impl Experiment for E6 {
         };
         wave_sim.record_metrics(r.metrics_mut(), "e6.engine");
         if let Some(path) = &cfg.vcd {
-            let named: Vec<(NetId, &str)> =
+            let named: Vec<(WireId, &str)> =
                 taps.iter().map(|(n, s)| (*n, s.as_str())).collect();
             // Stderr: stdout must stay byte-identical with and
             // without --vcd. A failure marks the run so the CLI
@@ -223,11 +223,10 @@ impl Experiment for E6 {
         rline!(r, "=> pulse regeneration stops the accumulation: the one-shot string's rate");
         rline!(r, "   is set by the wired-in pulse width alone, at any length.");
 
-        // --- the flat netlist core: the same experiment at a million gates ------
-        // The legacy engine stays on the 2048-stage chip above; the
-        // arena core runs the pipelined clock train on a string ~500x
-        // the paper's chip. Same fabrication model, same ChainStage
-        // description, different engine.
+        // --- the same experiment at a million gates --------------------------
+        // The engine that ran the 2048-stage chip above runs the
+        // pipelined clock train on a string ~500x the paper's chip:
+        // same fabrication model, same ChainStage description.
         rline!(r);
         let nm_stages: usize = 1_000_000;
         rline!(

@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment binaries — float formatting and
 //! growth-rate annotation — plus the [`experiments`] module, where
 //! every `eN` experiment body lives as a [`sim_runtime::Experiment`]
-//! implementation. The `eN_*` binaries are one-line wrappers over
-//! [`registry`] entries.
+//! implementation; the `experiments` binary runs any [`registry`]
+//! entry by name.
 //!
 //! The plain-text [`Table`] writer now lives in `sim-runtime` (so
 //! [`sim_runtime::Report`] can capture tables structurally for the

@@ -1,11 +1,10 @@
-//! A minimal std-only timing harness for the `benches/` microbenches.
+//! A minimal std-only timing harness for microbenches.
 //!
-//! The benches used to run under criterion; with the workspace now
-//! free of crates.io dependencies they are plain `fn main()` programs
-//! (`[[bench]] harness = false`) that call [`bench`] per case. The
-//! harness self-calibrates the iteration count to a ~100 ms budget and
-//! prints one `name  time/iter` line — enough to spot regressions by
-//! eye or diff, without statistical machinery.
+//! With the workspace free of crates.io dependencies, a bench is a
+//! plain `fn main()` program (`[[bench]] harness = false`) that calls
+//! [`bench`] per case. The harness self-calibrates the iteration count
+//! to a ~100 ms budget and prints one `name  time/iter` line — enough
+//! to spot regressions by eye or diff, without statistical machinery.
 
 use std::time::{Duration, Instant};
 

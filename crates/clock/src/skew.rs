@@ -53,12 +53,6 @@ impl ArrivalTimes {
         ArrivalTimes { arrival }
     }
 
-    /// Arrival time at a tree node.
-    #[must_use]
-    pub fn at_node(&self, node: NodeId) -> f64 {
-        self.arrival[node.index()]
-    }
-
     /// Arrival time at the node clocking `cell`.
     ///
     /// # Panics

@@ -158,12 +158,6 @@ impl ClockTree {
         self.wire_len.iter().sum()
     }
 
-    /// Longest single edge of the tree.
-    #[must_use]
-    pub fn max_edge_length(&self) -> f64 {
-        self.wire_len.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Nearest common ancestor of two nodes.
     #[must_use]
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {

@@ -11,8 +11,8 @@
 //!   (assumptions A1–A3);
 //! * [`clock_tree`] — clock trees, the difference and summation skew
 //!   models, clock periods (A4–A11);
-//! * [`desim`] — the gate-level simulator behind the Section VII
-//!   inverter-string experiment;
+//! * [`desim`] — the gate-level event engine behind the Section VII
+//!   inverter-string experiment and every other gate-level circuit;
 //! * [`systolic`] — lock-step arrays, classic systolic algorithms,
 //!   and skew-fault injection;
 //! * [`selftimed`] — handshake links and the Section VI hybrid

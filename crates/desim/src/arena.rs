@@ -9,10 +9,14 @@
 //! scheduler sizes itself from. Nothing here allocates per event —
 //! everything is index math over contiguous arrays.
 //!
+//! Registers are the one gate kind with more parameters than the
+//! columns hold: their setup/hold windows live in a side table that
+//! stays empty (and unallocated) in register-free netlists, so the
+//! propagation hot path never pays for them.
+//!
 //! [`seal`]: Netlist::seal
 
-use desim::chain::{ChainSink, ChainStage};
-use desim::time::SimTime;
+use crate::time::SimTime;
 use std::fmt;
 
 /// Sentinel for "no second input".
@@ -68,33 +72,83 @@ impl fmt::Display for GateId {
     }
 }
 
-/// The gate kinds the flat core evaluates.
-///
-/// Deliberately smaller than the legacy engine's component set: the
-/// million-gate hot paths are built from propagation primitives;
-/// registers and C-elements stay on the reference [`desim`] core.
+/// The gate kinds the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum GateKind {
     /// Non-inverting buffer (`d_rise`/`d_fall` delays).
-    Buffer = 0,
+    Buffer,
     /// Inverter (`d_rise`/`d_fall` delays).
-    Inverter = 1,
-    /// Two-input OR (`d_rise`/`d_fall` delays).
-    Or2 = 2,
-    /// Two-input AND (`d_rise`/`d_fall` delays).
-    And2 = 3,
+    Inverter,
+    /// Two-input gate given by its truth table: the output is bit
+    /// `a | b << 1` of the table (`d_rise`/`d_fall` delays); built from
+    /// a [`GateFn`].
+    Gate2(u8),
     /// One-shot pulse buffer: fires a fixed-width pulse on each
     /// rising input edge (`d_rise` = propagation delay, `d_fall` =
     /// pulse width).
-    OneShot = 4,
+    OneShot,
+    /// Muller C-element: the output follows the inputs when they
+    /// agree and holds when they differ (`d_rise` = `d_fall` = delay).
+    CElement,
+    /// Positive-edge D register, `in_a` = data, `in_b` = clock
+    /// (`d_rise` = clock-to-q; `d_fall` = its slot in the setup/hold
+    /// side table).
+    Register,
+}
+
+/// Boolean function of a two-input gate, compiled to a
+/// [`GateKind::Gate2`] truth table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateFn {
+    /// Logical AND.
+    And,
+    /// Logical OR.
+    Or,
+    /// Logical NAND.
+    Nand,
+    /// Logical NOR.
+    Nor,
+    /// Logical XOR.
+    Xor,
+    /// Logical XNOR (equivalence).
+    Xnor,
+}
+
+impl GateFn {
+    /// The truth table: bit `a | b << 1` is the output for inputs
+    /// `(a, b)`.
+    #[must_use]
+    pub(crate) const fn table(self) -> u8 {
+        match self {
+            GateFn::And => 0b1000,
+            GateFn::Or => 0b1110,
+            GateFn::Nand => 0b0111,
+            GateFn::Nor => 0b0001,
+            GateFn::Xor => 0b0110,
+            GateFn::Xnor => 0b1001,
+        }
+    }
+}
+
+/// Looks `(a, b)` up in a two-input truth table.
+#[inline]
+pub(crate) fn eval_table(table: u8, a: bool, b: bool) -> bool {
+    (table >> (u8::from(a) | u8::from(b) << 1)) & 1 != 0
+}
+
+/// A register's timing windows, in picoseconds (zero disables the
+/// check).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegisterWindows {
+    pub setup_ps: u64,
+    pub hold_ps: u64,
 }
 
 /// The mutable struct-of-arrays netlist builder.
 ///
 /// Wires carry no storage here at all — a wire is just an index the
-/// engine later attaches state to. Gates are five parallel `u32`
-/// columns. Delays are picoseconds in `u32` (a single gate delay
+/// engine later attaches state to. Gates are a kind column plus five
+/// parallel `u32` columns. Delays are picoseconds in `u32` (a single gate delay
 /// beyond ~4 ms would be a spec bug, and the narrow column keeps a
 /// million-gate arena at ~20 MB).
 #[derive(Debug, Clone, Default)]
@@ -105,8 +159,11 @@ pub struct Netlist {
     pub(crate) outs: Vec<u32>,
     /// Rise delay; for one-shots the propagation delay.
     pub(crate) d_rise: Vec<u32>,
-    /// Fall delay; for one-shots the pulse width.
+    /// Fall delay; for one-shots the pulse width, for registers the
+    /// slot in `registers`.
     pub(crate) d_fall: Vec<u32>,
+    /// Setup/hold windows, one slot per register.
+    pub(crate) registers: Vec<RegisterWindows>,
     wires: u32,
     /// Which wires already have a driving gate (one driver per wire).
     driven: Vec<bool>,
@@ -215,24 +272,71 @@ impl Netlist {
         self.push_gate(GateKind::Inverter, input, None, output, r, f)
     }
 
-    /// Adds a two-input OR gate.
+    /// Adds a two-input gate computing `func`.
     ///
     /// # Panics
     ///
     /// As for [`Netlist::add_buffer`], plus distinct-input checking.
-    pub fn add_or2(&mut self, a: WireId, b: WireId, output: WireId, rise: SimTime, fall: SimTime) -> GateId {
+    pub fn add_gate2(
+        &mut self,
+        func: GateFn,
+        a: WireId,
+        b: WireId,
+        output: WireId,
+        rise: SimTime,
+        fall: SimTime,
+    ) -> GateId {
         let (r, f) = (delay_ps(rise, "gate delay"), delay_ps(fall, "gate delay"));
-        self.push_gate(GateKind::Or2, a, Some(b), output, r, f)
+        self.push_gate(GateKind::Gate2(func.table()), a, Some(b), output, r, f)
     }
 
-    /// Adds a two-input AND gate.
+    /// Adds a Muller C-element: when inputs `a` and `b` agree, the
+    /// output follows them after `delay`; when they disagree, the
+    /// output holds. The canonical self-timed rendezvous gate.
     ///
     /// # Panics
     ///
-    /// As for [`Netlist::add_or2`].
-    pub fn add_and2(&mut self, a: WireId, b: WireId, output: WireId, rise: SimTime, fall: SimTime) -> GateId {
-        let (r, f) = (delay_ps(rise, "gate delay"), delay_ps(fall, "gate delay"));
-        self.push_gate(GateKind::And2, a, Some(b), output, r, f)
+    /// As for [`Netlist::add_gate2`].
+    pub fn add_c_element(
+        &mut self,
+        a: WireId,
+        b: WireId,
+        output: WireId,
+        delay: SimTime,
+    ) -> GateId {
+        let d = delay_ps(delay, "C-element delay");
+        self.push_gate(GateKind::CElement, a, Some(b), output, d, d)
+    }
+
+    /// Adds a positive-edge-triggered D register.
+    ///
+    /// On each rising edge of `clk` the register samples `d` and
+    /// drives `q` after `clk_to_q`. Violations of the `setup`/`hold`
+    /// windows are recorded as [`crate::engine::TimingViolation`]s (the
+    /// register still samples — possibly garbage, as in real
+    /// hardware). A zero window disables its check. `q` has no
+    /// inertial window: a register passes every sampled edge.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Netlist::add_gate2`].
+    pub fn add_register(
+        &mut self,
+        d: WireId,
+        clk: WireId,
+        q: WireId,
+        setup: SimTime,
+        hold: SimTime,
+        clk_to_q: SimTime,
+    ) -> GateId {
+        let delay = delay_ps(clk_to_q, "clk-to-q delay");
+        let slot = u32::try_from(self.registers.len()).expect("register table full");
+        let id = self.push_gate(GateKind::Register, d, Some(clk), q, delay, slot);
+        self.registers.push(RegisterWindows {
+            setup_ps: setup.as_ps(),
+            hold_ps: hold.as_ps(),
+        });
+        id
     }
 
     /// Adds a one-shot pulse buffer (rising-edge triggered, wired-in
@@ -264,8 +368,8 @@ impl Netlist {
 
         // CSR fanout: counting pass, prefix sum, fill pass. The fill
         // iterates gates in id order, so each wire's fanout list keeps
-        // gate-insertion order — the same sink order the legacy engine
-        // reacts in, which the differential suite relies on.
+        // gate-insertion order — the order the engine evaluates a
+        // wire's sinks in.
         let mut counts = vec![0u32; n_wires + 1];
         let bump = |w: u32, counts: &mut Vec<u32>| {
             counts[w as usize + 1] += 1;
@@ -295,9 +399,9 @@ impl Netlist {
         }
 
         // Per-wire inertial window: the driving gate's minimum edge
-        // spacing, exactly as the legacy engine assigns it (min of
-        // rise/fall for combinational gates, the pulse width for
-        // one-shots). Externally driven wires stay at zero.
+        // spacing (min of rise/fall for combinational gates and
+        // C-elements, the pulse width for one-shots, none for register
+        // outputs). Externally driven wires stay at zero.
         let mut min_sep = vec![0u32; n_wires];
         let mut max_delay: u64 = 1;
         for g in 0..n_gates {
@@ -305,6 +409,7 @@ impl Netlist {
             let (r, f) = (self.d_rise[g], self.d_fall[g]);
             let (sep, reach) = match self.kinds[g] {
                 GateKind::OneShot => (f, u64::from(r) + u64::from(f)),
+                GateKind::Register => (0, u64::from(r)),
                 _ => (r.min(f), u64::from(r.max(f))),
             };
             min_sep[out] = sep;
@@ -318,33 +423,12 @@ impl Netlist {
             outs: self.outs,
             d_rise: self.d_rise,
             d_fall: self.d_fall,
+            registers: self.registers,
             n_wires: n_wires as u32,
             fanout_offsets,
             fanout,
             min_sep,
             max_delay_ps: max_delay,
-        }
-    }
-}
-
-impl ChainSink for Netlist {
-    type Node = WireId;
-
-    fn chain_wire(&mut self) -> WireId {
-        self.add_wire()
-    }
-
-    fn chain_stage(&mut self, stage: ChainStage, input: WireId, output: WireId) {
-        match stage {
-            ChainStage::Inverter { rise, fall } => {
-                self.add_inverter(input, output, rise, fall);
-            }
-            ChainStage::Buffer { rise, fall } => {
-                self.add_buffer(input, output, rise, fall);
-            }
-            ChainStage::OneShot { delay, pulse_width } => {
-                self.add_one_shot(input, output, delay, pulse_width);
-            }
         }
     }
 }
@@ -358,6 +442,7 @@ pub struct SealedNetlist {
     pub(crate) outs: Vec<u32>,
     pub(crate) d_rise: Vec<u32>,
     pub(crate) d_fall: Vec<u32>,
+    pub(crate) registers: Vec<RegisterWindows>,
     pub(crate) n_wires: u32,
     /// CSR row offsets: wire `w` drives gates
     /// `fanout[fanout_offsets[w]..fanout_offsets[w + 1]]`.
@@ -416,7 +501,7 @@ mod tests {
         // Three gates all fed by `a`, added in order.
         nl.add_buffer(a, x, ps(10), ps(10));
         nl.add_inverter(a, y, ps(10), ps(10));
-        let b = nl.add_or2(a, x, z, ps(10), ps(10));
+        let b = nl.add_gate2(GateFn::Or, a, x, z, ps(10), ps(10));
         assert_eq!(b.index(), 2);
         let sealed = nl.seal();
         let (s, e) = (
@@ -467,19 +552,37 @@ mod tests {
     }
 
     #[test]
-    fn chain_sink_builds_identical_topology() {
-        use desim::chain::build_chain;
-        let stages = vec![
-            ChainStage::Inverter {
-                rise: ps(7),
-                fall: ps(9),
-            };
-            3
-        ];
+    fn truth_tables_match_the_functions() {
+        use GateFn::{And, Nand, Nor, Or, Xnor, Xor};
+        for func in [And, Or, Nand, Nor, Xor, Xnor] {
+            for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+                let want = match func {
+                    GateFn::And => a && b,
+                    GateFn::Or => a || b,
+                    GateFn::Nand => !(a && b),
+                    GateFn::Nor => !(a || b),
+                    GateFn::Xor => a ^ b,
+                    GateFn::Xnor => a == b,
+                };
+                assert_eq!(eval_table(func.table(), a, b), want, "{func:?}({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn register_output_has_no_inertial_window() {
         let mut nl = Netlist::new();
-        let nodes = build_chain(&mut nl, &stages);
-        assert_eq!(nodes.len(), 4);
-        assert_eq!(nl.n_gates(), 3);
-        assert_eq!(nl.n_wires(), 4);
+        let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_register(d, clk, q, ps(50), ps(0), ps(300));
+        let sealed = nl.seal();
+        assert_eq!(sealed.min_sep[q.index()], 0);
+        assert_eq!(sealed.max_delay_ps(), 300);
+        assert_eq!(
+            sealed.registers,
+            vec![RegisterWindows {
+                setup_ps: 50,
+                hold_ps: 0
+            }]
+        );
     }
 }

@@ -3,20 +3,17 @@
 //!
 //! Three experiment harnesses build long chains — [`inverter_string`]
 //! (inverters), [`one_shot_string`] (one-shot pulse buffers), and
-//! [`clocked_chain`] (the buffered clock spine) — and the flat-arena
-//! `netlist` crate rebuilds the same circuits for the million-gate
-//! runs. Each used to hand-roll its own `for` loop over
-//! `add_<gate>`; a topology described twice eventually diverges. This
-//! module instead describes a chain as data ([`ChainStage`]) and
-//! instantiates it into any engine that implements [`ChainSink`], so
-//! the legacy heap-based [`Simulator`] and the flat netlist core are
-//! guaranteed to construct identical circuits.
+//! [`clocked_chain`] (the buffered clock spine) — and the million-gate
+//! runs rebuild the same strings at scale. Rather than each
+//! hand-rolling its own `for` loop over `add_<gate>`, a chain is
+//! described as data ([`ChainStage`]) and instantiated into a
+//! [`Netlist`] by [`build_chain`].
 //!
 //! [`inverter_string`]: crate::inverter_string
 //! [`one_shot_string`]: crate::one_shot_string
 //! [`clocked_chain`]: crate::clocked_chain
 
-use crate::engine::{NetId, Simulator};
+use crate::arena::{Netlist, WireId};
 use crate::time::SimTime;
 
 /// One stage of a linear chain, as pure data.
@@ -47,73 +44,43 @@ pub enum ChainStage {
     },
 }
 
-/// An engine that chain topologies can be instantiated into.
+/// Builds a linear chain of `stages` into `nl` and returns every wire
+/// along it: element 0 is the chain input, element `k + 1` the output
+/// of stage `k` (so the last element is the far end).
 ///
-/// Implemented by the legacy [`Simulator`] here and by the flat-arena
-/// netlist builder in the `netlist` crate. Implementors only provide
-/// the two primitives; [`build_chain`] owns the topology.
-pub trait ChainSink {
-    /// The engine's wire/net handle.
-    type Node: Copy;
-
-    /// Allocates a fresh wire.
-    fn chain_wire(&mut self) -> Self::Node;
-
-    /// Instantiates one stage between two existing wires.
-    fn chain_stage(&mut self, stage: ChainStage, input: Self::Node, output: Self::Node);
-}
-
-/// Builds a linear chain of `stages` into `sink` and returns every
-/// wire along it: element 0 is the chain input, element `k + 1` the
-/// output of stage `k` (so the last element is the far end).
-///
-/// Wires are allocated in chain order and stages instantiated in
-/// chain order — two engines fed the same stage list construct
-/// index-identical topologies, which is what the netlist-vs-desim
-/// differential suite pins.
-pub fn build_chain<S: ChainSink>(sink: &mut S, stages: &[ChainStage]) -> Vec<S::Node> {
+/// Wires are allocated in chain order and stages instantiated in chain
+/// order, so a chain's wire ids are dense and ascending from its input.
+pub fn build_chain(nl: &mut Netlist, stages: &[ChainStage]) -> Vec<WireId> {
     let mut nodes = Vec::with_capacity(stages.len() + 1);
-    let input = sink.chain_wire();
-    nodes.push(input);
-    let mut prev = input;
+    let mut prev = nl.add_wire();
+    nodes.push(prev);
     for &stage in stages {
-        let out = sink.chain_wire();
-        sink.chain_stage(stage, prev, out);
+        let out = nl.add_wire();
+        match stage {
+            ChainStage::Inverter { rise, fall } => nl.add_inverter(prev, out, rise, fall),
+            ChainStage::Buffer { rise, fall } => nl.add_buffer(prev, out, rise, fall),
+            ChainStage::OneShot { delay, pulse_width } => {
+                nl.add_one_shot(prev, out, delay, pulse_width)
+            }
+        };
         nodes.push(out);
         prev = out;
     }
     nodes
 }
 
-impl ChainSink for Simulator {
-    type Node = NetId;
-
-    fn chain_wire(&mut self) -> NetId {
-        self.add_net()
-    }
-
-    fn chain_stage(&mut self, stage: ChainStage, input: NetId, output: NetId) {
-        match stage {
-            ChainStage::Inverter { rise, fall } => self.add_inverter(input, output, rise, fall),
-            ChainStage::Buffer { rise, fall } => self.add_buffer(input, output, rise, fall),
-            ChainStage::OneShot { delay, pulse_width } => {
-                self.add_one_shot(input, output, delay, pulse_width);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NetSim;
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)
     }
 
     #[test]
-    fn builds_an_inverter_chain_into_the_simulator() {
-        let mut sim = Simulator::new();
+    fn builds_an_inverter_chain() {
+        let mut nl = Netlist::new();
         let stages = vec![
             ChainStage::Inverter {
                 rise: ps(100),
@@ -121,8 +88,10 @@ mod tests {
             };
             4
         ];
-        let nodes = build_chain(&mut sim, &stages);
+        let nodes = build_chain(&mut nl, &stages);
         assert_eq!(nodes.len(), 5);
+        assert_eq!((nl.n_gates(), nl.n_wires()), (4, 5));
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(nodes[4]);
         sim.schedule_input(nodes[0], ps(10), true);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
@@ -133,7 +102,7 @@ mod tests {
 
     #[test]
     fn mixed_stages_instantiate_in_order() {
-        let mut sim = Simulator::new();
+        let mut nl = Netlist::new();
         let stages = [
             ChainStage::Buffer {
                 rise: ps(50),
@@ -144,7 +113,8 @@ mod tests {
                 pulse_width: ps(200),
             },
         ];
-        let nodes = build_chain(&mut sim, &stages);
+        let nodes = build_chain(&mut nl, &stages);
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(nodes[2]);
         sim.schedule_input(nodes[0], ps(10), true);
         sim.run_to_quiescence(ps(10_000)).expect("settles");

@@ -16,8 +16,9 @@
 //! register-detected violations and whether the data pattern came
 //! through intact.
 
+use crate::arena::{Netlist, WireId};
 use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator, ViolationKind};
+use crate::engine::{NetSim, ViolationKind};
 use crate::time::SimTime;
 
 /// Configuration of the chain.
@@ -59,9 +60,7 @@ impl ClockedChainSpec {
 
     /// The buffered clock spine as a [`ChainStage`] list: the first
     /// tap has negligible delay, each subsequent tap adds one
-    /// `skew_step` segment. Shared with the netlist core so both
-    /// engines distribute the clock through an identical spine (the
-    /// differential suite's skew check).
+    /// `skew_step` segment.
     #[must_use]
     pub fn spine_stages(&self) -> Vec<ChainStage> {
         (0..self.registers)
@@ -111,31 +110,32 @@ pub fn run_chain(spec: ClockedChainSpec, period: SimTime, cycles: usize) -> Chai
     assert!(spec.registers >= 2, "need at least two registers");
     assert!(cycles >= 1, "need at least one cycle");
     let r = spec.registers;
-    let mut sim = Simulator::new();
+    let mut nl = Netlist::new();
 
-    // Clock spine: root clock net plus one buffered tap per register,
+    // Clock spine: root clock wire plus one buffered tap per register,
     // built from the shared chain description (see `spine_stages`).
-    let spine = build_chain(&mut sim, &spec.spine_stages());
+    let spine = build_chain(&mut nl, &spec.spine_stages());
     let clk_root = spine[0];
-    let mut taps: Vec<NetId> = spine[1..].to_vec();
+    let mut taps: Vec<WireId> = spine[1..].to_vec();
     if !spec.clock_with_data {
         taps.reverse();
     }
 
     // Data path: din -> reg0 -> delay -> reg1 -> … -> regN.
-    let din = sim.add_net();
-    let mut d_net = din;
+    let din = nl.add_wire();
+    let mut d_wire = din;
     let mut q_last = din;
     for (i, &tap) in taps.iter().enumerate() {
-        let q = sim.add_net();
-        sim.add_register(d_net, tap, q, spec.setup, spec.hold, spec.clk_to_q);
+        let q = nl.add_wire();
+        nl.add_register(d_wire, tap, q, spec.setup, spec.hold, spec.clk_to_q);
         if i + 1 < r {
-            let delayed = sim.add_net();
-            sim.add_buffer(q, delayed, spec.delta, spec.delta);
-            d_net = delayed;
+            let delayed = nl.add_wire();
+            nl.add_buffer(q, delayed, spec.delta, spec.delta);
+            d_wire = delayed;
         }
         q_last = q;
     }
+    let mut sim = NetSim::from_netlist(nl);
     sim.watch(q_last);
 
     // Drive: clock edges every `period`; data toggles `delta` after
@@ -156,7 +156,7 @@ pub fn run_chain(spec: ClockedChainSpec, period: SimTime, cycles: usize) -> Chai
     sim.run_to_quiescence(limit).expect("chain settles");
 
     let received: Vec<bool> = sim
-        .transitions(q_last)
+        .transitions_ps(q_last)
         .iter()
         .map(|&(_, v)| v)
         .collect();

@@ -1,56 +1,60 @@
-//! The discrete-event simulation engine.
+//! The event engine: [`NetSim`] runs a [`SealedNetlist`].
 //!
-//! A circuit is a set of boolean *nets* connected by *components*
-//! (buffers, inverters, edge-triggered registers). Value changes are
-//! events in a priority queue; components react to changes on their
-//! input nets and schedule changes on their outputs after their
-//! propagation delays.
+//! A circuit is a set of boolean *wires* connected by gates (buffers,
+//! inverters, two-input gates, one-shots, C-elements, edge-triggered
+//! registers). Value changes are events; gates react to changes on
+//! their input wires and schedule changes on their outputs after
+//! their propagation delays.
 //!
 //! Two properties matter for the paper's experiments:
 //!
-//! * **Inertial delay.** When a component schedules an output change
-//!   that conflicts with (precedes or duplicates) changes already in
-//!   flight for that net, the pending changes are cancelled — a pulse
-//!   narrower than the component can pass is swallowed, exactly the
-//!   failure mode that limits pipelined clock rate in Section VII.
+//! * **Inertial delay.** When a gate schedules an output change that
+//!   conflicts with (precedes or duplicates) changes already in
+//!   flight for that wire, the pending changes are cancelled — a pulse
+//!   narrower than the gate can pass is swallowed, exactly the failure
+//!   mode that limits pipelined clock rate in Section VII.
 //! * **Setup/hold checking.** Registers record a [`TimingViolation`]
 //!   whenever data changes too close to a sampling clock edge — the
 //!   "synchronization failure" that clock skew causes (Section I).
 //!
-//! The engine is fully deterministic: integer time plus a sequence
-//! number break all ties.
+//! The machinery is laid out for million-gate circuits:
+//!
+//! * per-wire state lives in parallel `Vec`s indexed by the wire id;
+//! * the pending-event set is a calendar [`Wheel`] (O(1) amortized
+//!   push/dispatch under the bounded-delay model) plus a small sorted
+//!   *far list* for the rare event beyond the wheel's horizon
+//!   (pre-scheduled clock edges whole periods away, delay-fault
+//!   scalings past nominal);
+//! * fanout propagation runs through a dirty-flagged ring work queue
+//!   over the CSR table, so settling needs no per-event allocation;
+//! * register state (last clock edge, recorded violations) sits in
+//!   side tables that stay empty for register-free circuits.
+//!
+//! The engine is fully deterministic. Events dispatch in `(time,
+//! schedule order)`: wheel buckets and the far list both preserve push
+//! order within a timestamp, upsets strike before events at the same
+//! instant, and far entries (always scheduled from further back in
+//! time) precede same-time wheel entries.
+//!
+//! Observability follows the workspace's one-branch `Option`
+//! discipline: waveform watches and the [`TraceBuf`] lifecycle hooks
+//! cost a predictable untaken branch each when disabled.
 
+use crate::arena::{eval_table, GateKind, SealedNetlist, WireId, NONE};
 use crate::time::SimTime;
+use crate::wheel::{Ev, Wheel};
 use sim_observe::{TraceBuf, TraceEvent};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
-
-/// Identifier of a net (a boolean signal) in a [`Simulator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NetId(usize);
-
-impl NetId {
-    /// The raw dense index of this net.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for NetId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "net{}", self.0)
-    }
-}
+use std::sync::Arc;
 
 /// A recorded setup or hold violation at a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingViolation {
     /// When the violation was detected.
     pub at: SimTime,
-    /// The register's data net.
-    pub data_net: NetId,
+    /// The register's data wire.
+    pub data_wire: WireId,
     /// Which constraint was violated.
     pub kind: ViolationKind,
 }
@@ -64,138 +68,7 @@ pub enum ViolationKind {
     Hold,
 }
 
-/// Boolean function of a two-input gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateFn {
-    /// Logical AND.
-    And,
-    /// Logical OR.
-    Or,
-    /// Logical NAND.
-    Nand,
-    /// Logical NOR.
-    Nor,
-    /// Logical XOR.
-    Xor,
-    /// Logical XNOR (equivalence).
-    Xnor,
-}
-
-impl GateFn {
-    /// Evaluates the function.
-    #[must_use]
-    pub fn eval(self, a: bool, b: bool) -> bool {
-        match self {
-            GateFn::And => a && b,
-            GateFn::Or => a || b,
-            GateFn::Nand => !(a && b),
-            GateFn::Nor => !(a || b),
-            GateFn::Xor => a ^ b,
-            GateFn::Xnor => a == b,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct NetState {
-    value: bool,
-    /// Final value after all pending events.
-    scheduled_value: bool,
-    /// Generation counter; events with a stale generation are dead.
-    gen: u64,
-    /// Time of the latest scheduled (possibly pending) change.
-    last_event_time: SimTime,
-    /// Time the applied value last changed.
-    last_change_time: SimTime,
-    /// Minimum spacing between successive changes this net's driver
-    /// can produce (its inertia): changes scheduled closer than this
-    /// to the previous one collapse the pulse. Zero for externally
-    /// driven nets.
-    min_separation: SimTime,
-    /// Stuck-at fault: the net ignores every scheduled change.
-    stuck: bool,
-    /// Delay-fault scale in percent of nominal (100 = healthy): every
-    /// delay scheduled onto this net is stretched or shrunk by it.
-    delay_scale_pct: u32,
-    sinks: Vec<usize>,
-    trace: Option<Vec<(SimTime, bool)>>,
-}
-
-#[derive(Debug)]
-enum Component {
-    /// Buffer or inverter: one input, one output, separate delays for
-    /// output-rising and output-falling transitions.
-    Gate {
-        input: NetId,
-        output: NetId,
-        rise: SimTime,
-        fall: SimTime,
-        invert: bool,
-    },
-    /// Positive-edge-triggered D register with setup/hold checking.
-    Register {
-        d: NetId,
-        clk: NetId,
-        q: NetId,
-        setup: SimTime,
-        hold: SimTime,
-        clk_to_q: SimTime,
-        last_clk_rise: Option<SimTime>,
-    },
-    /// Muller C-element: output follows the inputs when they agree and
-    /// holds its state when they differ — the basic building block of
-    /// self-timed control (Seitz, "System Timing").
-    CElement {
-        a: NetId,
-        b: NetId,
-        output: NetId,
-        delay: SimTime,
-    },
-    /// Two-input combinational gate.
-    Gate2 {
-        a: NetId,
-        b: NetId,
-        output: NetId,
-        func: GateFn,
-        rise: SimTime,
-        fall: SimTime,
-    },
-    /// One-shot pulse buffer: responds only to *rising* input edges,
-    /// emitting a fixed-width output pulse — the Section VII proposal
-    /// for making clock buffers immune to rise/fall asymmetry ("make
-    /// each buffer respond only to rising edges on its input and to
-    /// generate its own falling edges with a one-shot pulse
-    /// generator").
-    OneShot {
-        input: NetId,
-        output: NetId,
-        delay: SimTime,
-        pulse_width: SimTime,
-    },
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Event {
-    time: SimTime,
-    seq: u64,
-    net: NetId,
-    value: bool,
-    gen: u64,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Error returned by [`Simulator::run_to_quiescence`] when the circuit
+/// Error returned by [`NetSim::run_to_quiescence`] when the circuit
 /// is still active at the time limit (e.g. a free-running clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StillActiveError {
@@ -211,32 +84,33 @@ impl fmt::Display for StillActiveError {
 
 impl std::error::Error for StillActiveError {}
 
-/// Cumulative event-loop counters of one [`Simulator`].
+/// Cumulative event-loop counters of one [`NetSim`].
 ///
 /// Maintained as plain `u64` fields bumped inline on the event path —
 /// no atomics, no locks, no allocation — so instrumentation costs a
 /// handful of register increments per event. Snapshot with
-/// [`Simulator::stats`]; export into a metric registry with
-/// [`Simulator::record_metrics`].
+/// [`NetSim::stats`]; export into a metric registry with
+/// [`NetSim::record_metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events pushed into the queue (including ones later cancelled).
     pub events_scheduled: u64,
-    /// Events popped and applied as real net changes.
+    /// Events popped and applied as real wire changes.
     pub events_processed: u64,
     /// Inertial cancellations: conflicting schedules that invalidated
-    /// the in-flight events of a net (a swallowed pulse bumps this).
+    /// the in-flight events of a wire (a swallowed pulse bumps this).
     pub cancellations: u64,
     /// Events popped but discarded as stale (cancelled generation) or
     /// redundant (no value change).
     pub dead_events: u64,
     /// High-water mark of the event queue.
     pub peak_queue_depth: u64,
-    /// Total settle iterations: component evaluations performed while
+    /// Total settle iterations: gate evaluations performed while
     /// propagating applied events (the fanout work the event loop did,
     /// as opposed to the events it merely dispatched).
     pub settle_iterations: u64,
-    /// Faults forced into the circuit (stuck-at pins and SEU upsets).
+    /// Faults forced into the circuit (stuck-at pins, SEU upsets and
+    /// delay scalings).
     pub faults_injected: u64,
 }
 
@@ -271,7 +145,7 @@ impl EngineStats {
 }
 
 /// Sim-time and event budget of a watchdog-supervised run
-/// ([`Simulator::run_budgeted`]).
+/// ([`NetSim::run_budgeted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// No event beyond this sim time is processed.
@@ -322,322 +196,309 @@ pub enum Halt {
     },
 }
 
-/// Outcome of one [`Simulator::step_once`] attempt.
+/// Outcome of one dispatch step.
 enum Step {
-    /// One action (event or upset) was applied.
-    Did,
+    /// This many events (or one upset) were applied.
+    Did(u64),
     /// Nothing is pending at all.
     Empty,
     /// The next pending action lies beyond the given limit.
     Beyond,
 }
 
-/// A deterministic event-driven simulator for gate-level circuits.
+/// The event-driven simulator.
+///
+/// Build a [`crate::arena::Netlist`], [`seal`](crate::arena::Netlist::seal)
+/// it, and hand it (in an [`Arc`], so sweeps share one arena) to
+/// [`NetSim::new`].
 ///
 /// # Examples
 ///
 /// A two-inverter chain settles to the input value:
 ///
 /// ```
-/// use desim::engine::Simulator;
-/// use desim::time::SimTime;
+/// use desim::prelude::*;
 ///
-/// let mut sim = Simulator::new();
-/// let a = sim.add_net();
-/// let b = sim.add_net();
-/// let c = sim.add_net();
-/// sim.add_inverter(a, b, SimTime::from_ps(100), SimTime::from_ps(100));
-/// sim.add_inverter(b, c, SimTime::from_ps(100), SimTime::from_ps(100));
+/// let mut nl = Netlist::new();
+/// let (a, b, c) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+/// nl.add_inverter(a, b, SimTime::from_ps(100), SimTime::from_ps(100));
+/// nl.add_inverter(b, c, SimTime::from_ps(100), SimTime::from_ps(100));
+/// let mut sim = NetSim::from_netlist(nl);
 /// sim.schedule_input(a, SimTime::from_ps(10), true);
 /// sim.run_until(SimTime::from_ns(1));
 /// assert!(sim.value(c));
 /// ```
-#[derive(Debug, Default)]
-pub struct Simulator {
-    nets: Vec<NetState>,
-    components: Vec<Component>,
-    queue: BinaryHeap<Reverse<Event>>,
-    now: SimTime,
-    seq: u64,
+#[derive(Debug)]
+pub struct NetSim {
+    nl: Arc<SealedNetlist>,
+    // ---- per-wire state, parallel to the arena ----
+    value: Vec<bool>,
+    scheduled: Vec<bool>,
+    gen: Vec<u32>,
+    last_event_ps: Vec<u64>,
+    change_ps: Vec<u64>,
+    stuck: Vec<bool>,
+    /// Delay-fault scale, percent of nominal; 100 on the hot path.
+    delay_scale: Vec<u16>,
+    /// Index into `watches`, or `NONE`.
+    watch_slot: Vec<u32>,
+    watches: Vec<Vec<(u64, bool)>>,
+    // ---- per-register state, parallel to the register side table ----
+    last_clk_rise: Vec<Option<u64>>,
     violations: Vec<TimingViolation>,
-    stats: EngineStats,
-    /// Clock-marked nets: `(net, signal name, phase)`. Consulted only
-    /// on the traced path.
-    clock_marks: Vec<(NetId, String, u8)>,
-    /// Event-lifecycle trace ring. `None` (the default) keeps the hot
-    /// path to a single branch per call site — no allocation, no
-    /// atomics.
-    trace: Option<Box<TraceBuf>>,
-    /// Scheduled SEU upsets, sorted by `(time, net)`; `next_upset`
-    /// indexes the first one not yet applied. Empty in nominal runs —
-    /// the run loops skip the fault path with one length check.
-    upsets: Vec<(SimTime, NetId)>,
+    // ---- pending events ----
+    wheel: Wheel,
+    /// Events beyond the wheel horizon, sorted by fire time (stable:
+    /// same-time entries keep insertion order). `far_next` is the
+    /// dispatch cursor; entries before it are spent.
+    far: Vec<Ev>,
+    far_next: usize,
+    /// Scheduled SEU upsets, sorted by `(time, wire)`.
+    upsets: Vec<(u64, u32)>,
     next_upset: usize,
+    /// The wheel bucket being dispatched (buffers circulate). Entries
+    /// from `drain_next` on are still pending: only a budgeted run
+    /// that stops mid-instant leaves any.
+    drain: Vec<Ev>,
+    drain_next: usize,
+    // ---- fanout work queue ----
+    ring: VecDeque<u32>,
+    dirty: Vec<bool>,
+    // ---- clock + bookkeeping ----
+    now_ps: u64,
+    stats: EngineStats,
+    trace: Option<Box<TraceBuf>>,
+    clock_marks: Vec<(u32, String, u8)>,
 }
 
-impl Simulator {
-    /// Creates an empty simulator at time zero.
+impl NetSim {
+    /// A simulator over the sealed arena.
+    ///
+    /// Initial state follows build order: externally driven wires
+    /// start low; in gate order, buffer/inverter outputs are set
+    /// consistently with their input (so chains alternate with no
+    /// spurious start-up events), a C-element whose inputs agree
+    /// starts at their value, and a two-input gate whose inputs
+    /// disagree with its output resolves through a real scheduled
+    /// event — so feedback loops such as gated ring oscillators see
+    /// the change propagate.
     #[must_use]
-    pub fn new() -> Self {
-        Simulator::default()
-    }
-
-    /// Adds a net, initially low (`false`).
-    pub fn add_net(&mut self) -> NetId {
-        let id = NetId(self.nets.len());
-        self.nets.push(NetState {
-            value: false,
-            scheduled_value: false,
-            gen: 0,
-            last_event_time: SimTime::ZERO,
-            last_change_time: SimTime::ZERO,
-            min_separation: SimTime::ZERO,
-            stuck: false,
-            delay_scale_pct: 100,
-            sinks: Vec::new(),
+    pub fn new(nl: Arc<SealedNetlist>) -> NetSim {
+        let n = nl.n_wires();
+        let n_gates = nl.n_gates();
+        let wheel = Wheel::with_horizon(nl.max_delay_ps());
+        let mut sim = NetSim {
+            value: vec![false; n],
+            scheduled: vec![false; n],
+            gen: vec![0; n],
+            last_event_ps: vec![0; n],
+            change_ps: vec![0; n],
+            stuck: vec![false; n],
+            delay_scale: vec![100; n],
+            watch_slot: vec![NONE; n],
+            watches: Vec::new(),
+            last_clk_rise: vec![None; nl.registers.len()],
+            violations: Vec::new(),
+            wheel,
+            far: Vec::new(),
+            far_next: 0,
+            upsets: Vec::new(),
+            next_upset: 0,
+            drain: Vec::new(),
+            drain_next: 0,
+            ring: VecDeque::new(),
+            dirty: vec![false; n_gates],
+            now_ps: 0,
+            stats: EngineStats::default(),
             trace: None,
-        });
-        id
+            clock_marks: Vec::new(),
+            nl,
+        };
+        let nl = Arc::clone(&sim.nl);
+        for g in 0..n_gates {
+            let a = nl.in_a[g] as usize;
+            let out = nl.outs[g] as usize;
+            match nl.kinds[g] {
+                GateKind::Buffer | GateKind::Inverter => {
+                    let v = sim.value[a] ^ (nl.kinds[g] == GateKind::Inverter);
+                    sim.value[out] = v;
+                    sim.scheduled[out] = v;
+                }
+                GateKind::Gate2(table) => {
+                    let b = nl.in_b[g] as usize;
+                    let v = eval_table(table, sim.value[a], sim.value[b]);
+                    if sim.value[out] != v {
+                        let delay = if v { nl.d_rise[g] } else { nl.d_fall[g] };
+                        sim.schedule_change(out, u64::from(delay), v);
+                    }
+                }
+                GateKind::CElement => {
+                    let b = nl.in_b[g] as usize;
+                    if sim.value[a] == sim.value[b] {
+                        sim.value[out] = sim.value[a];
+                        sim.scheduled[out] = sim.value[a];
+                    }
+                }
+                GateKind::OneShot | GateKind::Register => {}
+            }
+        }
+        sim
     }
 
-    /// Number of nets in the circuit (fault injectors iterate this to
-    /// enumerate candidate sites).
+    /// Convenience: seal-and-simulate in one step.
     #[must_use]
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
+    pub fn from_netlist(nl: crate::arena::Netlist) -> NetSim {
+        NetSim::new(Arc::new(nl.seal()))
     }
 
-    /// Adds a non-inverting buffer from `input` to `output`.
-    ///
-    /// `rise`/`fall` are the delays for output-rising and
-    /// output-falling transitions respectively.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either delay is zero (zero-delay loops would hang the
-    /// simulation) or a net id is stale.
-    pub fn add_buffer(&mut self, input: NetId, output: NetId, rise: SimTime, fall: SimTime) {
-        self.add_gate(input, output, rise, fall, false);
-    }
-
-    /// Adds an inverter from `input` to `output`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Simulator::add_buffer`].
-    pub fn add_inverter(&mut self, input: NetId, output: NetId, rise: SimTime, fall: SimTime) {
-        self.add_gate(input, output, rise, fall, true);
-    }
-
-    fn add_gate(&mut self, input: NetId, output: NetId, rise: SimTime, fall: SimTime, invert: bool) {
-        assert!(
-            rise > SimTime::ZERO && fall > SimTime::ZERO,
-            "gate delays must be positive"
-        );
-        self.check_net(input);
-        self.check_net(output);
-        assert_ne!(input, output, "gate input and output must differ");
-        let id = self.components.len();
-        self.components.push(Component::Gate {
-            input,
-            output,
-            rise,
-            fall,
-            invert,
-        });
-        self.nets[input.index()].sinks.push(id);
-        // Initialise the output consistently with the current input so
-        // that building a chain generates no spurious start-up events.
-        let in_val = self.nets[input.index()].value;
-        let out_val = if invert { !in_val } else { in_val };
-        self.nets[output.index()].value = out_val;
-        self.nets[output.index()].scheduled_value = out_val;
-        // A gate cannot regenerate a pulse narrower than its faster
-        // transition: that inertia becomes the output net's minimum
-        // event separation.
-        self.nets[output.index()].min_separation = rise.min(fall);
-    }
-
-    /// Adds a positive-edge-triggered D register.
-    ///
-    /// On each rising edge of `clk` the register samples `d` and
-    /// drives `q` after `clk_to_q`. Violations of the `setup`/`hold`
-    /// windows are recorded (the register still samples — possibly
-    /// garbage, as in real hardware).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clk_to_q` is zero or a net id is stale.
-    pub fn add_register(
-        &mut self,
-        d: NetId,
-        clk: NetId,
-        q: NetId,
-        setup: SimTime,
-        hold: SimTime,
-        clk_to_q: SimTime,
-    ) {
-        assert!(clk_to_q > SimTime::ZERO, "clk-to-q delay must be positive");
-        self.check_net(d);
-        self.check_net(clk);
-        self.check_net(q);
-        let id = self.components.len();
-        self.components.push(Component::Register {
-            d,
-            clk,
-            q,
-            setup,
-            hold,
-            clk_to_q,
-            last_clk_rise: None,
-        });
-        self.nets[d.index()].sinks.push(id);
-        self.nets[clk.index()].sinks.push(id);
-    }
-
-    /// Adds a two-input gate computing `func` with separate
-    /// output-rising/falling delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either delay is zero or a net id is stale.
-    pub fn add_gate2(
-        &mut self,
-        func: GateFn,
-        a: NetId,
-        b: NetId,
-        output: NetId,
-        rise: SimTime,
-        fall: SimTime,
-    ) {
-        assert!(
-            rise > SimTime::ZERO && fall > SimTime::ZERO,
-            "gate delays must be positive"
-        );
-        self.check_net(a);
-        self.check_net(b);
-        self.check_net(output);
-        assert!(a != output && b != output, "gate output must differ from inputs");
-        let id = self.components.len();
-        self.components.push(Component::Gate2 {
-            a,
-            b,
-            output,
-            func,
-            rise,
-            fall,
-        });
-        self.nets[a.index()].sinks.push(id);
-        self.nets[b.index()].sinks.push(id);
-        self.nets[output.index()].min_separation = rise.min(fall);
-        // Resolve the initial output through a real scheduled event so
-        // that downstream logic — including feedback loops such as
-        // gated ring oscillators — sees the change propagate.
-        let (va, vb) = (self.nets[a.index()].value, self.nets[b.index()].value);
-        let v = func.eval(va, vb);
-        if self.nets[output.index()].value != v {
-            let delay = if v { rise } else { fall };
-            let t = self.now + delay;
-            self.schedule_change(output, t, v);
-        }
-    }
-
-    /// Adds a one-shot pulse buffer: each *rising* edge on `input`
-    /// produces, after `delay`, an output pulse of exactly
-    /// `pulse_width` — regardless of the input pulse's own width.
-    /// Falling input edges are ignored. Rising edges arriving closer
-    /// together than twice the pulse width collapse (the one-shot
-    /// needs the pulse plus an equal recovery before re-firing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` or `pulse_width` is zero, or a net id is
-    /// stale.
-    pub fn add_one_shot(
-        &mut self,
-        input: NetId,
-        output: NetId,
-        delay: SimTime,
-        pulse_width: SimTime,
-    ) {
-        assert!(
-            delay > SimTime::ZERO && pulse_width > SimTime::ZERO,
-            "one-shot delay and pulse width must be positive"
-        );
-        self.check_net(input);
-        self.check_net(output);
-        assert_ne!(input, output, "one-shot input and output must differ");
-        let id = self.components.len();
-        self.components.push(Component::OneShot {
-            input,
-            output,
-            delay,
-            pulse_width,
-        });
-        self.nets[input.index()].sinks.push(id);
-        self.nets[output.index()].min_separation = pulse_width;
-    }
-
-    /// Adds a Muller C-element: when inputs `a` and `b` agree, the
-    /// output follows them after `delay`; when they disagree, the
-    /// output holds. The canonical self-timed rendezvous gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is zero or a net id is stale.
-    pub fn add_c_element(&mut self, a: NetId, b: NetId, output: NetId, delay: SimTime) {
-        assert!(delay > SimTime::ZERO, "C-element delay must be positive");
-        self.check_net(a);
-        self.check_net(b);
-        self.check_net(output);
-        assert!(a != output && b != output, "C-element output must differ from inputs");
-        let id = self.components.len();
-        self.components.push(Component::CElement {
-            a,
-            b,
-            output,
-            delay,
-        });
-        self.nets[a.index()].sinks.push(id);
-        self.nets[b.index()].sinks.push(id);
-        // Consistent initial state: follow the inputs if they agree.
-        let (va, vb) = (self.nets[a.index()].value, self.nets[b.index()].value);
-        if va == vb {
-            self.nets[output.index()].value = va;
-            self.nets[output.index()].scheduled_value = va;
-        }
-        self.nets[output.index()].min_separation = delay;
-    }
-
-    fn check_net(&self, net: NetId) {
-        assert!(net.index() < self.nets.len(), "unknown net {net}");
-    }
-
-    /// Starts recording value transitions on `net`; retrieve them with
-    /// [`Simulator::transitions`].
-    pub fn watch(&mut self, net: NetId) {
-        self.check_net(net);
-        let slot = &mut self.nets[net.index()].trace;
-        if slot.is_none() {
-            *slot = Some(Vec::new());
-        }
-    }
-
-    /// Recorded transitions of a watched net, as `(time, new_value)`.
-    ///
-    /// Returns an empty slice for unwatched nets.
+    /// The shared sealed arena this simulator runs.
     #[must_use]
-    pub fn transitions(&self, net: NetId) -> &[(SimTime, bool)] {
-        self.nets[net.index()]
-            .trace
-            .as_deref()
-            .unwrap_or(&[])
+    pub fn netlist(&self) -> &Arc<SealedNetlist> {
+        &self.nl
+    }
+
+    fn check_wire(&self, w: WireId) {
+        assert!((w.index()) < self.nl.n_wires(), "unknown wire {w}");
+    }
+
+    // ---- stimulus & fault API ----
+
+    /// Schedules an externally driven change of `wire` at absolute
+    /// time `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is in the simulated past.
+    pub fn schedule_input(&mut self, wire: WireId, t: SimTime, value: bool) {
+        self.check_wire(wire);
+        assert!(
+            t.as_ps() >= self.now_ps,
+            "cannot schedule input in the past"
+        );
+        self.schedule_change(wire.index(), t.as_ps(), value);
+    }
+
+    /// Schedules a periodic clock: rising edges at `start + k·period`,
+    /// falling edges `high` later, for `cycles` cycles. Edge times are
+    /// computed with the overflow-checked [`SimTime`] arithmetic, so a
+    /// runaway period count fails with a structured diagnostic instead
+    /// of wrapping the picosecond horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < high < period`, or if an edge time
+    /// overflows.
+    pub fn schedule_clock(
+        &mut self,
+        wire: WireId,
+        start: SimTime,
+        period: SimTime,
+        high: SimTime,
+        cycles: usize,
+    ) {
+        assert!(
+            SimTime::ZERO < high && high < period,
+            "need 0 < high < period"
+        );
+        for k in 0..cycles {
+            let rise = period
+                .checked_mul(k as u64)
+                .and_then(|off| start.checked_add(off))
+                .unwrap_or_else(|e| panic!("clock edge {k}: {e}"));
+            let fall = rise
+                .checked_add(high)
+                .unwrap_or_else(|e| panic!("clock edge {k}: {e}"));
+            self.schedule_input(wire, rise, true);
+            self.schedule_input(wire, fall, false);
+        }
+    }
+
+    /// Pins `wire` to `value` for the rest of the run (stuck-at
+    /// fault): forced immediately, in-flight events cancelled, later
+    /// driver schedules ignored.
+    pub fn pin_wire(&mut self, wire: WireId, value: bool) {
+        self.check_wire(wire);
+        let kind = if value { "stuck_at_1" } else { "stuck_at_0" };
+        self.force_wire(wire.index(), self.now_ps, value, kind);
+        self.stuck[wire.index()] = true;
+    }
+
+    /// Schedules one transient (SEU-style) upset: at `t` the wire's
+    /// value flips and the circuit reacts to the corrupted value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is in the simulated past.
+    pub fn schedule_upset(&mut self, wire: WireId, t: SimTime) {
+        self.check_wire(wire);
+        let t_ps = t.as_ps();
+        assert!(t_ps >= self.now_ps, "cannot schedule an upset in the past");
+        let tail = &self.upsets[self.next_upset..];
+        let pos = tail.partition_point(|&(ut, uw)| (ut, uw) <= (t_ps, wire.0));
+        self.upsets.insert(self.next_upset + pos, (t_ps, wire.0));
+    }
+
+    /// Applies a delay fault: every change scheduled onto `wire` from
+    /// now on has its delay scaled to `percent` of nominal. Scaled
+    /// fire times may exceed the wheel horizon; those events take the
+    /// far-list path.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= percent <= 10_000`.
+    pub fn scale_wire_delay(&mut self, wire: WireId, percent: u32) {
+        self.check_wire(wire);
+        assert!(
+            (1..=10_000).contains(&percent),
+            "delay scale must be in 1..=10000 percent"
+        );
+        self.delay_scale[wire.index()] = percent as u16;
+        self.stats.faults_injected += 1;
+        if let Some(tr) = &mut self.trace {
+            tr.record(TraceEvent::FaultInjected {
+                t_ps: self.now_ps,
+                site: fault_site(wire.index()),
+                kind: format!("delay_scale_{percent}"),
+            });
+        }
+    }
+
+    // ---- observability ----
+
+    /// Starts recording value transitions on `wire`.
+    pub fn watch(&mut self, wire: WireId) {
+        self.check_wire(wire);
+        if self.watch_slot[wire.index()] == NONE {
+            self.watch_slot[wire.index()] =
+                u32::try_from(self.watches.len()).expect("watch arena full");
+            self.watches.push(Vec::new());
+        }
+    }
+
+    /// Recorded transitions of a watched wire as raw
+    /// `(time_ps, new_value)` pairs (empty for unwatched wires).
+    #[must_use]
+    pub fn transitions_ps(&self, wire: WireId) -> &[(u64, bool)] {
+        match self.watch_slot[wire.index()] {
+            NONE => &[],
+            slot => &self.watches[slot as usize],
+        }
+    }
+
+    /// Recorded transitions of a watched wire as `(SimTime, value)`
+    /// (empty for unwatched wires).
+    #[must_use]
+    pub fn transitions(&self, wire: WireId) -> Vec<(SimTime, bool)> {
+        self.transitions_ps(wire)
+            .iter()
+            .map(|&(t, v)| (SimTime::from_ps(t), v))
+            .collect()
     }
 
     /// Starts recording the event lifecycle (schedules, firings,
     /// inertial cancellations, marked clock edges) into a bounded
     /// ring of at most `capacity` events; retrieve it with
-    /// [`Simulator::take_trace`]. When tracing is off — the default —
+    /// [`NetSim::take_trace`]. When tracing is off — the default —
     /// every hook is a single branch on an `Option`: no allocation,
     /// no atomics.
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -650,228 +511,43 @@ impl Simulator {
         self.trace.is_some()
     }
 
-    /// Marks `net` as a clock signal: when tracing is enabled, each of
-    /// its transitions additionally records a `ClockEdge` event under
+    /// Marks `wire` as a clock: when tracing is enabled, each of its
+    /// transitions additionally records a `ClockEdge` event under
     /// `signal`, tagged with `phase` (0 or 1 for a two-phase
     /// discipline).
-    pub fn mark_clock(&mut self, net: NetId, signal: &str, phase: u8) {
-        self.check_net(net);
-        self.clock_marks.retain(|(n, _, _)| *n != net);
-        self.clock_marks.push((net, signal.to_owned(), phase));
+    pub fn mark_clock(&mut self, wire: WireId, signal: &str, phase: u8) {
+        self.check_wire(wire);
+        self.clock_marks.retain(|(w, _, _)| *w != wire.0);
+        self.clock_marks.push((wire.0, signal.to_owned(), phase));
     }
 
-    /// Takes the recorded event trace, leaving tracing disabled.
-    /// Returns `None` when tracing was never enabled.
+    /// Takes the recorded trace, leaving tracing disabled. Returns
+    /// `None` when tracing was never enabled.
     pub fn take_trace(&mut self) -> Option<TraceBuf> {
         self.trace.take().map(|b| *b)
     }
 
-    /// Schedules an externally driven change of `net` to `value` at
-    /// absolute time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the simulated past.
-    pub fn schedule_input(&mut self, net: NetId, t: SimTime, value: bool) {
-        self.check_net(net);
-        assert!(t >= self.now, "cannot schedule input in the past");
-        self.schedule_change(net, t, value);
-    }
-
-    /// Schedules a periodic clock on `net`: rising edges at
-    /// `start, start + period, …` with falling edges `high` later, for
-    /// `cycles` full cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < high < period`.
-    pub fn schedule_clock(
-        &mut self,
-        net: NetId,
-        start: SimTime,
-        period: SimTime,
-        high: SimTime,
-        cycles: usize,
-    ) {
-        assert!(
-            SimTime::ZERO < high && high < period,
-            "need 0 < high < period"
-        );
-        for k in 0..cycles {
-            let rise = start + period * (k as u64);
-            self.schedule_input(net, rise, true);
-            self.schedule_input(net, rise + high, false);
-        }
-    }
-
-    /// Pins `net` to `value` for the rest of the run (stuck-at fault):
-    /// the value is forced immediately, in-flight events for the net
-    /// are cancelled, and every later driver schedule is ignored.
-    pub fn pin_net(&mut self, net: NetId, value: bool) {
-        self.check_net(net);
-        let kind = if value { "stuck_at_1" } else { "stuck_at_0" };
-        self.force_net(net, self.now, value, kind);
-        self.nets[net.index()].stuck = true;
-    }
-
-    /// Schedules one transient (SEU-style) upset: at time `t` the
-    /// net's value flips, cancelling whatever was in flight for it,
-    /// and the circuit reacts to the corrupted value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the simulated past.
-    pub fn schedule_upset(&mut self, net: NetId, t: SimTime) {
-        self.check_net(net);
-        assert!(t >= self.now, "cannot schedule an upset in the past");
-        let tail = &self.upsets[self.next_upset..];
-        let pos = tail.partition_point(|&(ut, un)| (ut, un) <= (t, net));
-        self.upsets.insert(self.next_upset + pos, (t, net));
-    }
-
-    /// Applies a delay fault to `net`: every change scheduled onto it
-    /// from now on has its delay scaled to `percent` of nominal.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= percent <= 10_000`.
-    pub fn scale_net_delay(&mut self, net: NetId, percent: u32) {
-        self.check_net(net);
-        assert!(
-            (1..=10_000).contains(&percent),
-            "delay scale must be in 1..=10000 percent"
-        );
-        self.nets[net.index()].delay_scale_pct = percent;
-        self.stats.faults_injected += 1;
-        if let Some(tr) = &mut self.trace {
-            tr.record(TraceEvent::FaultInjected {
-                t_ps: self.now.as_ps(),
-                site: net.to_string(),
-                kind: format!("delay_scale_{percent}"),
-            });
-        }
-    }
-
-    /// Forces `net` to `value` right now, outside the normal driver
-    /// path: cancels in-flight events, applies the change, records it
-    /// as an injected fault, and lets the circuit react.
-    fn force_net(&mut self, net: NetId, t: SimTime, value: bool, kind: &str) {
-        if t > self.now {
-            self.now = t;
-        }
-        let now = self.now;
-        self.stats.faults_injected += 1;
-        if let Some(tr) = &mut self.trace {
-            tr.record(TraceEvent::FaultInjected {
-                t_ps: now.as_ps(),
-                site: net.to_string(),
-                kind: kind.to_owned(),
-            });
-        }
-        let state = &mut self.nets[net.index()];
-        state.gen += 1; // kill anything in flight for this net
-        state.scheduled_value = value;
-        state.last_event_time = now;
-        if state.value == value {
-            return;
-        }
-        state.value = value;
-        state.last_change_time = now;
-        if let Some(trace) = &mut state.trace {
-            trace.push((now, value));
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.record(TraceEvent::EventFired {
-                t_ps: now.as_ps(),
-                net: net.index() as u32,
-                value,
-            });
-        }
-        let sinks = std::mem::take(&mut self.nets[net.index()].sinks);
-        self.stats.settle_iterations += sinks.len() as u64;
-        for &comp in &sinks {
-            self.react(comp, net, now, value);
-        }
-        self.nets[net.index()].sinks = sinks;
-    }
-
-    /// Schedules a net change with inertial-delay semantics: changes
-    /// that conflict with pending ones cancel them (narrow pulses are
-    /// swallowed).
-    fn schedule_change(&mut self, net: NetId, t: SimTime, value: bool) {
-        let state = &mut self.nets[net.index()];
-        // Fault hooks — both compiled to one predictable branch each
-        // on the nominal path (`stuck` false, scale 100).
-        if state.stuck {
-            return;
-        }
-        let t = if state.delay_scale_pct == 100 {
-            t
-        } else {
-            let delta = t.saturating_sub(self.now).as_ps();
-            self.now + SimTime::from_ps((delta * u64::from(state.delay_scale_pct)) / 100)
-        };
-        let state = &mut self.nets[net.index()];
-        let too_close = state.last_event_time > SimTime::ZERO
-            && t < state.last_event_time + state.min_separation;
-        let conflict = t < state.last_event_time
-            || value == state.scheduled_value
-            || too_close;
-        if conflict {
-            // Cancel everything in flight for this net.
-            state.gen += 1;
-            self.stats.cancellations += 1;
-            if let Some(tr) = &mut self.trace {
-                tr.record(TraceEvent::EventCancelled {
-                    t_ps: self.now.as_ps(),
-                    net: net.index() as u32,
-                });
-            }
-            let state = &mut self.nets[net.index()];
-            if value == state.value {
-                // Net settles at its current value; nothing to apply.
-                state.scheduled_value = state.value;
-                state.last_event_time = t;
-                return;
-            }
-        }
-        let state = &mut self.nets[net.index()];
-        state.scheduled_value = value;
-        state.last_event_time = t;
-        let gen = state.gen;
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            time: t,
-            seq: self.seq,
-            net,
-            value,
-            gen,
-        }));
-        self.stats.events_scheduled += 1;
-        if let Some(tr) = &mut self.trace {
-            tr.record(TraceEvent::EventScheduled {
-                t_ps: self.now.as_ps(),
-                fire_ps: t.as_ps(),
-                net: net.index() as u32,
-                value,
-            });
-        }
-        let depth = self.queue.len() as u64;
-        if depth > self.stats.peak_queue_depth {
-            self.stats.peak_queue_depth = depth;
-        }
-    }
+    // ---- queries ----
 
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime::from_ps(self.now_ps)
     }
 
-    /// Current value of a net.
+    /// Current value of a wire.
     #[must_use]
-    pub fn value(&self, net: NetId) -> bool {
-        self.nets[net.index()].value
+    pub fn value(&self, wire: WireId) -> bool {
+        self.value[wire.index()]
+    }
+
+    /// Time of the wire's last value change, in picoseconds (0 if it
+    /// never changed) — per-wire arrival times without per-wire
+    /// transition storage, which is what million-cell wavefront
+    /// analyses read.
+    #[must_use]
+    pub fn last_change_ps(&self, wire: WireId) -> u64 {
+        self.change_ps[wire.index()]
     }
 
     /// All setup/hold violations recorded so far, in detection order.
@@ -880,10 +556,12 @@ impl Simulator {
         &self.violations
     }
 
-    /// Number of events waiting in the queue (dead events included).
+    /// Events waiting for dispatch (dead events included).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.wheel.len()
+            + (self.far.len() - self.far_next)
+            + (self.drain.len() - self.drain_next)
     }
 
     /// Snapshot of the cumulative event-loop counters.
@@ -897,44 +575,18 @@ impl Simulator {
     /// time into the `{prefix}.sim_time_ps` counter.
     pub fn record_metrics(&self, metrics: &mut sim_observe::Metrics, prefix: &str) {
         self.stats.record(metrics, prefix);
-        metrics.add(&format!("{prefix}.sim_time_ps"), self.now.as_ps());
+        metrics.add(&format!("{prefix}.sim_time_ps"), self.now_ps);
     }
 
-    /// Applies the earliest pending action (queued event or scheduled
-    /// upset) if it lies at or before `limit`. Upsets win ties: the
-    /// fault strikes before the circuit reacts at the same instant.
-    fn step_once(&mut self, limit: SimTime) -> Step {
-        let next_ev = self.queue.peek().map(|Reverse(e)| e.time);
-        // One cheap length check on the nominal (no-upsets) path.
-        let next_up = if self.next_upset < self.upsets.len() {
-            Some(self.upsets[self.next_upset].0)
-        } else {
-            None
-        };
-        match (next_ev, next_up) {
-            (None, None) => Step::Empty,
-            (ev, Some(ut)) if ut <= limit && ev.is_none_or(|et| ut <= et) => {
-                let (t, net) = self.upsets[self.next_upset];
-                self.next_upset += 1;
-                let flipped = !self.nets[net.index()].value;
-                self.force_net(net, t, flipped, "seu_flip");
-                Step::Did
-            }
-            (Some(et), _) if et <= limit => {
-                let Reverse(ev) = self.queue.pop().expect("peeked");
-                self.apply(ev);
-                Step::Did
-            }
-            _ => Step::Beyond,
-        }
-    }
+    // ---- run loop ----
 
-    /// Runs until the queue is empty or the next event lies beyond
-    /// `t`; the simulation clock ends at exactly `t`.
+    /// Runs until the pending set is empty or the next event lies
+    /// beyond `t`; the clock ends at exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while matches!(self.step_once(t), Step::Did) {}
-        if self.now < t {
-            self.now = t;
+        let limit = t.as_ps();
+        while matches!(self.step_once(limit, u64::MAX), Step::Did(_)) {}
+        if self.now_ps < limit {
+            self.now_ps = limit;
         }
     }
 
@@ -942,14 +594,13 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`StillActiveError`] if events (or scheduled upsets)
-    /// remain past the limit (the circuit oscillates or is driven
-    /// forever).
+    /// Returns [`StillActiveError`] if events or upsets remain past
+    /// the limit (the circuit oscillates or is driven forever).
     pub fn run_to_quiescence(&mut self, limit: SimTime) -> Result<SimTime, StillActiveError> {
         loop {
-            match self.step_once(limit) {
-                Step::Did => {}
-                Step::Empty => return Ok(self.now),
+            match self.step_once(limit.as_ps(), u64::MAX) {
+                Step::Did(_) => {}
+                Step::Empty => return Ok(self.now()),
                 Step::Beyond => return Err(StillActiveError { limit }),
             }
         }
@@ -961,202 +612,378 @@ impl Simulator {
     /// fault-injected circuit can oscillate forever or stall forever;
     /// this always terminates with a classified [`Halt`] instead.
     pub fn run_budgeted(&mut self, budget: RunBudget) -> Halt {
+        let limit = budget.sim_limit.as_ps();
         let mut applied: u64 = 0;
         loop {
             if applied >= budget.max_events {
-                return Halt::EventLimit { at: self.now };
+                return Halt::EventLimit { at: self.now() };
             }
-            match self.step_once(budget.sim_limit) {
-                Step::Did => applied += 1,
-                Step::Empty => return Halt::Quiescent { at: self.now },
-                Step::Beyond => return Halt::SimLimit { at: self.now },
+            match self.step_once(limit, budget.max_events - applied) {
+                Step::Did(n) => applied += n,
+                Step::Empty => return Halt::Quiescent { at: self.now() },
+                Step::Beyond => return Halt::SimLimit { at: self.now() },
             }
         }
     }
 
-    fn apply(&mut self, ev: Event) {
-        debug_assert!(ev.time >= self.now, "event time went backwards");
-        self.now = ev.time;
-        let state = &mut self.nets[ev.net.index()];
-        if ev.gen != state.gen || state.value == ev.value {
+    /// Dispatches the earliest pending action at or before `limit`,
+    /// applying at most `max_events` events. Tie order at one instant:
+    /// upsets, then far-list entries, then the wheel bucket (see the
+    /// module docs).
+    fn step_once(&mut self, limit: u64, max_events: u64) -> Step {
+        if self.drain_next < self.drain.len() {
+            // The rest of an instant a budgeted run stopped inside.
+            return if self.drain[self.drain_next].t_ps <= limit {
+                Step::Did(self.apply_drain(max_events))
+            } else {
+                Step::Beyond
+            };
+        }
+        let next_wheel = self.wheel.peek_earliest(self.now_ps);
+        let next_far = self.far.get(self.far_next).map(|e| e.t_ps);
+        let next_ev = match (next_wheel, next_far) {
+            (Some(w), Some(f)) => Some(w.min(f)),
+            (w, f) => w.or(f),
+        };
+        let next_up = if self.next_upset < self.upsets.len() {
+            Some(self.upsets[self.next_upset].0)
+        } else {
+            None
+        };
+        match (next_ev, next_up) {
+            (None, None) => Step::Empty,
+            (ev, Some(ut)) if ut <= limit && ev.is_none_or(|et| ut <= et) => {
+                let (t, w) = self.upsets[self.next_upset];
+                self.next_upset += 1;
+                let flipped = !self.value[w as usize];
+                self.force_wire(w as usize, t, flipped, "seu_flip");
+                Step::Did(1)
+            }
+            (Some(et), _) if et <= limit => {
+                if next_far.is_some_and(|f| f <= et) {
+                    let ev = self.far[self.far_next];
+                    self.far_next += 1;
+                    self.apply(ev);
+                    Step::Did(1)
+                } else {
+                    self.wheel
+                        .pop_earliest_into(self.now_ps, &mut self.drain)
+                        .expect("peeked non-empty wheel");
+                    Step::Did(self.apply_drain(max_events))
+                }
+            }
+            _ => Step::Beyond,
+        }
+    }
+
+    /// Applies up to `max_events` of the drained same-instant bucket,
+    /// in push order, and returns how many it applied.
+    fn apply_drain(&mut self, max_events: u64) -> u64 {
+        let mut batch = std::mem::take(&mut self.drain);
+        let start = std::mem::replace(&mut self.drain_next, 0);
+        let room = usize::try_from(max_events).unwrap_or(usize::MAX);
+        let end = start + (batch.len() - start).min(room);
+        // Apply sequentially: a cancellation mid-batch must kill later
+        // same-time entries.
+        for &ev in &batch[start..end] {
+            self.apply(ev);
+        }
+        if end < batch.len() {
+            self.drain_next = end;
+        } else {
+            batch.clear();
+        }
+        self.drain = batch;
+        (end - start) as u64
+    }
+
+    /// Schedules a wire change with inertial-delay semantics: changes
+    /// that conflict with pending ones cancel them (narrow pulses are
+    /// swallowed).
+    fn schedule_change(&mut self, w: usize, t_ps: u64, value: bool) {
+        // Fault hooks — one predictable branch each on the nominal
+        // path (`stuck` false, scale 100).
+        if self.stuck[w] {
+            return;
+        }
+        let t_ps = if self.delay_scale[w] == 100 {
+            t_ps
+        } else {
+            let delta = t_ps.saturating_sub(self.now_ps);
+            self.now_ps + (delta * u64::from(self.delay_scale[w])) / 100
+        };
+        let sep = u64::from(self.nl.min_sep[w]);
+        let last = self.last_event_ps[w];
+        let too_close = last > 0 && t_ps < last + sep;
+        let conflict = t_ps < last || value == self.scheduled[w] || too_close;
+        if conflict {
+            // Cancel everything in flight for this wire.
+            self.gen[w] = self.gen[w].wrapping_add(1);
+            self.stats.cancellations += 1;
+            if let Some(tr) = &mut self.trace {
+                tr.record(TraceEvent::EventCancelled {
+                    t_ps: self.now_ps,
+                    net: w as u32,
+                });
+            }
+            if value == self.value[w] {
+                // Settles at the current value; nothing to apply.
+                self.scheduled[w] = value;
+                self.last_event_ps[w] = t_ps;
+                return;
+            }
+        }
+        self.scheduled[w] = value;
+        self.last_event_ps[w] = t_ps;
+        let ev = Ev {
+            t_ps,
+            wire: w as u32,
+            gen: self.gen[w],
+            value,
+        };
+        if self.wheel.fits(self.now_ps, t_ps) {
+            self.wheel.push(ev);
+        } else if self.far.last().is_none_or(|e| e.t_ps <= t_ps) {
+            // In-order scheduling (a clock train) appends.
+            self.far.push(ev);
+        } else {
+            let tail = &self.far[self.far_next..];
+            let pos = tail.partition_point(|e| e.t_ps <= t_ps);
+            self.far.insert(self.far_next + pos, ev);
+        }
+        self.stats.events_scheduled += 1;
+        if let Some(tr) = &mut self.trace {
+            tr.record(TraceEvent::EventScheduled {
+                t_ps: self.now_ps,
+                fire_ps: t_ps,
+                net: w as u32,
+                value,
+            });
+        }
+        let depth = self.pending_events() as u64;
+        if depth > self.stats.peak_queue_depth {
+            self.stats.peak_queue_depth = depth;
+        }
+    }
+
+    fn apply(&mut self, ev: Ev) {
+        debug_assert!(ev.t_ps >= self.now_ps, "event time went backwards");
+        self.now_ps = ev.t_ps;
+        let w = ev.wire as usize;
+        if ev.gen != self.gen[w] || self.value[w] == ev.value {
             self.stats.dead_events += 1;
             return; // cancelled or redundant
         }
         self.stats.events_processed += 1;
-        state.value = ev.value;
-        state.last_change_time = ev.time;
-        if let Some(trace) = &mut state.trace {
-            trace.push((ev.time, ev.value));
+        self.value[w] = ev.value;
+        self.change_ps[w] = ev.t_ps;
+        if self.watch_slot[w] != NONE {
+            self.watches[self.watch_slot[w] as usize].push((ev.t_ps, ev.value));
         }
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::EventFired {
-                t_ps: ev.time.as_ps(),
-                net: ev.net.index() as u32,
+                t_ps: ev.t_ps,
+                net: ev.wire,
                 value: ev.value,
             });
             if let Some((_, signal, phase)) =
-                self.clock_marks.iter().find(|(n, _, _)| *n == ev.net)
+                self.clock_marks.iter().find(|(m, _, _)| *m == ev.wire)
             {
                 tr.record(TraceEvent::ClockEdge {
-                    t_ps: ev.time.as_ps(),
+                    t_ps: ev.t_ps,
                     signal: signal.clone(),
                     rising: ev.value,
                     phase: *phase,
                 });
             }
         }
-        // React sinks. Temporarily take the list to avoid aliasing
-        // `self` (the sink set never changes during simulation).
-        let sinks = std::mem::take(&mut self.nets[ev.net.index()].sinks);
-        self.stats.settle_iterations += sinks.len() as u64;
-        for &comp in &sinks {
-            self.react(comp, ev.net, ev.time, ev.value);
-        }
-        self.nets[ev.net.index()].sinks = sinks;
+        self.settle_fanout(w);
     }
 
-    fn react(&mut self, comp: usize, net: NetId, t: SimTime, value: bool) {
-        // Compute the output actions first (component state and
-        // violation recording use disjoint fields); then schedule,
-        // which needs `&mut self` as a whole. Only the one-shot emits
-        // two actions (its own falling edge).
-        let mut extra: Option<(NetId, SimTime, bool)> = None;
-        let action: Option<(NetId, SimTime, bool)> = match &mut self.components[comp] {
-            Component::Gate {
-                input,
-                output,
-                rise,
-                fall,
-                invert,
-            } => {
-                debug_assert_eq!(*input, net);
-                let out_val = if *invert { !value } else { value };
-                let delay = if out_val { *rise } else { *fall };
-                Some((*output, t + delay, out_val))
-            }
-            Component::Register {
-                d,
-                clk,
-                q,
-                setup,
-                hold,
-                clk_to_q,
-                last_clk_rise,
-            } => {
-                if net == *clk && value {
-                    // Rising clock edge: setup check, then sample. A
-                    // net that never changed (last_change_time still
-                    // zero) cannot violate setup.
-                    let d_net = *d;
-                    let d_last = self.nets[d_net.index()].last_change_time;
-                    if *setup > SimTime::ZERO
-                        && d_last > SimTime::ZERO
-                        && t.saturating_sub(d_last) < *setup
-                    {
-                        self.violations.push(TimingViolation {
-                            at: t,
-                            data_net: d_net,
-                            kind: ViolationKind::Setup,
-                        });
-                    }
-                    *last_clk_rise = Some(t);
-                    let sampled = self.nets[d_net.index()].value;
-                    Some((*q, t + *clk_to_q, sampled))
-                } else if net == *d {
-                    // Data change: hold check against the latest edge.
-                    if let Some(edge) = *last_clk_rise {
-                        if *hold > SimTime::ZERO && t.saturating_sub(edge) < *hold {
-                            self.violations.push(TimingViolation {
-                                at: t,
-                                data_net: *d,
-                                kind: ViolationKind::Hold,
-                            });
-                        }
-                    }
-                    None
-                } else {
-                    None
-                }
-            }
-            Component::CElement {
-                a,
-                b,
-                output,
-                delay,
-            } => {
-                let (va, vb) = (
-                    self.nets[a.index()].value,
-                    self.nets[b.index()].value,
-                );
-                if va == vb && self.nets[output.index()].scheduled_value != va {
-                    Some((*output, t + *delay, va))
-                } else {
-                    None
-                }
-            }
-            Component::Gate2 {
-                a,
-                b,
-                output,
-                func,
-                rise,
-                fall,
-            } => {
-                let (va, vb) = (
-                    self.nets[a.index()].value,
-                    self.nets[b.index()].value,
-                );
-                let out_val = func.eval(va, vb);
-                if self.nets[output.index()].scheduled_value != out_val {
-                    let delay = if out_val { *rise } else { *fall };
-                    Some((*output, t + delay, out_val))
-                } else {
-                    None
-                }
-            }
-            Component::OneShot {
-                input,
-                output,
-                delay,
-                pulse_width,
-            } => {
-                debug_assert_eq!(*input, net);
-                if value {
-                    // Rising edge: fire a fresh pulse.
-                    extra = Some((*output, t + *delay + *pulse_width, false));
-                    Some((*output, t + *delay, true))
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some((out, t_out, v)) = action {
-            self.schedule_change(out, t_out, v);
+    /// Forces a wire outside the normal driver path (pins, upsets):
+    /// cancels in-flight events, applies the change, records it as an
+    /// injected fault, and lets the circuit react.
+    fn force_wire(&mut self, w: usize, t_ps: u64, value: bool, kind: &str) {
+        if t_ps > self.now_ps {
+            self.now_ps = t_ps;
         }
-        if let Some((out, t_out, v)) = extra {
-            self.schedule_change(out, t_out, v);
+        let now = self.now_ps;
+        self.stats.faults_injected += 1;
+        if let Some(tr) = &mut self.trace {
+            tr.record(TraceEvent::FaultInjected {
+                t_ps: now,
+                site: fault_site(w),
+                kind: kind.to_owned(),
+            });
+        }
+        self.gen[w] = self.gen[w].wrapping_add(1); // kill in-flight events
+        self.scheduled[w] = value;
+        self.last_event_ps[w] = now;
+        if self.value[w] == value {
+            return;
+        }
+        self.value[w] = value;
+        self.change_ps[w] = now;
+        if self.watch_slot[w] != NONE {
+            self.watches[self.watch_slot[w] as usize].push((now, value));
+        }
+        if let Some(tr) = &mut self.trace {
+            tr.record(TraceEvent::EventFired {
+                t_ps: now,
+                net: w as u32,
+                value,
+            });
+        }
+        self.settle_fanout(w);
+    }
+
+    /// Propagates a change of wire `w` through its CSR fanout via the
+    /// dirty-flagged ring queue: each driven gate is enqueued once,
+    /// then the ring drains to quiescence *within this timestep* —
+    /// scheduled outputs all land at least one gate delay in the
+    /// future, so the drain is the zero-delay settling pass and every
+    /// evaluation bumps `settle_iterations`.
+    fn settle_fanout(&mut self, w: usize) {
+        let s = self.nl.fanout_offsets[w] as usize;
+        let e = self.nl.fanout_offsets[w + 1] as usize;
+        for i in s..e {
+            let g = self.nl.fanout[i];
+            if !self.dirty[g as usize] {
+                self.dirty[g as usize] = true;
+                self.ring.push_back(g);
+            }
+        }
+        while let Some(g) = self.ring.pop_front() {
+            self.dirty[g as usize] = false;
+            self.stats.settle_iterations += 1;
+            self.eval_gate(g as usize, w);
         }
     }
+
+    /// Evaluates one gate against current wire values, after a change
+    /// of its input wire `changed`, and schedules its output.
+    fn eval_gate(&mut self, g: usize, changed: usize) {
+        let kind = self.nl.kinds[g];
+        let a = self.nl.in_a[g] as usize;
+        let out = self.nl.outs[g] as usize;
+        let (rise, fall) = (u64::from(self.nl.d_rise[g]), u64::from(self.nl.d_fall[g]));
+        match kind {
+            GateKind::Buffer | GateKind::Inverter => {
+                let out_val = self.value[a] ^ (kind == GateKind::Inverter);
+                let delay = if out_val { rise } else { fall };
+                self.schedule_change(out, self.now_ps + delay, out_val);
+            }
+            GateKind::Gate2(table) => {
+                let b = self.nl.in_b[g] as usize;
+                let out_val = eval_table(table, self.value[a], self.value[b]);
+                if self.scheduled[out] != out_val {
+                    let delay = if out_val { rise } else { fall };
+                    self.schedule_change(out, self.now_ps + delay, out_val);
+                }
+            }
+            GateKind::OneShot => {
+                if self.value[a] {
+                    // Rising edge: fresh pulse, rise scheduled first.
+                    let t0 = self.now_ps + rise;
+                    self.schedule_change(out, t0, true);
+                    self.schedule_change(out, t0 + fall, false);
+                }
+            }
+            GateKind::CElement => {
+                let b = self.nl.in_b[g] as usize;
+                let va = self.value[a];
+                if va == self.value[b] && self.scheduled[out] != va {
+                    self.schedule_change(out, self.now_ps + rise, va);
+                }
+            }
+            GateKind::Register => self.eval_register(g, changed),
+        }
+    }
+
+    /// A register's reaction: a rising clock edge checks setup and
+    /// samples `d`; a data change checks hold against the latest edge.
+    #[inline(never)]
+    fn eval_register(&mut self, g: usize, changed: usize) {
+        let d = self.nl.in_a[g] as usize;
+        let clk = self.nl.in_b[g] as usize;
+        let slot = self.nl.d_fall[g] as usize;
+        let windows = self.nl.registers[slot];
+        let now = self.now_ps;
+        if changed == clk && self.value[clk] {
+            // A data wire that never changed (change time still zero)
+            // cannot violate setup.
+            let d_last = self.change_ps[d];
+            if windows.setup_ps > 0
+                && d_last > 0
+                && now.saturating_sub(d_last) < windows.setup_ps
+            {
+                self.record_violation(d, ViolationKind::Setup);
+            }
+            self.last_clk_rise[slot] = Some(now);
+            let q = self.nl.outs[g] as usize;
+            let clk_to_q = u64::from(self.nl.d_rise[g]);
+            self.schedule_change(q, now + clk_to_q, self.value[d]);
+        } else if changed == d {
+            if let Some(edge) = self.last_clk_rise[slot] {
+                if windows.hold_ps > 0 && now.saturating_sub(edge) < windows.hold_ps {
+                    self.record_violation(d, ViolationKind::Hold);
+                }
+            }
+        }
+    }
+
+    fn record_violation(&mut self, d: usize, kind: ViolationKind) {
+        self.violations.push(TimingViolation {
+            at: self.now(),
+            data_wire: WireId::from_index(d),
+            kind,
+        });
+    }
+}
+
+/// The trace vocabulary's name for a fault site on wire `w`.
+fn fault_site(w: usize) -> String {
+    format!("net{w}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{GateFn, Netlist};
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)
+    }
+
+    /// A one-gate circuit: `a → b` through a buffer.
+    fn buffer(rise: u64, fall: u64) -> (NetSim, WireId, WireId) {
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.add_wire(), nl.add_wire());
+        nl.add_buffer(a, b, ps(rise), ps(fall));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(b);
+        (sim, a, b)
+    }
+
+    /// A lone register `d, clk → q`.
+    fn register(setup: u64, hold: u64, clk_to_q: u64) -> (NetSim, WireId, WireId, WireId) {
+        let mut nl = Netlist::new();
+        let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_register(d, clk, q, ps(setup), ps(hold), ps(clk_to_q));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(q);
+        (sim, d, clk, q)
     }
 
     /// A small circuit exercising schedules, firings, and inertial
     /// cancellations: an inverter driven by a pulse narrower than its
     /// delay plus a free-running clock. `trace` enables event tracing
     /// *before* any stimulus, so the recorded lifecycle is complete.
-    fn traced_fixture(trace: bool) -> (Simulator, NetId, NetId) {
-        let mut sim = Simulator::new();
-        let clk = sim.add_net();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_inverter(a, b, ps(100), ps(100));
+    fn traced_fixture(trace: bool) -> (NetSim, WireId) {
+        let mut nl = Netlist::new();
+        let (clk, a, b) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_inverter(a, b, ps(100), ps(100));
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(b);
         if trace {
             sim.enable_trace(1 << 12);
@@ -1167,24 +994,24 @@ mod tests {
         // Narrow pulse: swallowed by the inverter's inertial window.
         sim.schedule_input(a, ps(600), false);
         sim.schedule_input(a, ps(640), true);
-        (sim, clk, b)
+        (sim, b)
     }
 
     #[test]
     fn tracing_does_not_change_behavior() {
-        let (mut plain, _, b_plain) = traced_fixture(false);
+        let (mut plain, b) = traced_fixture(false);
         plain.run_until(ps(5_000));
-        let (mut traced, _, b_traced) = traced_fixture(true);
+        let (mut traced, _) = traced_fixture(true);
         assert!(traced.trace_enabled());
         traced.run_until(ps(5_000));
         assert_eq!(plain.stats(), traced.stats());
-        assert_eq!(plain.transitions(b_plain), traced.transitions(b_traced));
+        assert_eq!(plain.transitions(b), traced.transitions(b));
         assert_eq!(plain.now(), traced.now());
     }
 
     #[test]
     fn trace_records_the_event_lifecycle() {
-        let (mut sim, _, _) = traced_fixture(true);
+        let (mut sim, _) = traced_fixture(true);
         sim.run_until(ps(5_000));
         let stats = sim.stats();
         let buf = sim.take_trace().expect("tracing was enabled");
@@ -1210,89 +1037,66 @@ mod tests {
 
     #[test]
     fn buffer_propagates_with_asymmetric_delays() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(100), ps(300));
-        sim.watch(b);
+        let (mut sim, a, b) = buffer(100, 300);
         sim.schedule_input(a, ps(1000), true);
         sim.schedule_input(a, ps(2000), false);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
-        assert_eq!(
-            sim.transitions(b),
-            &[(ps(1100), true), (ps(2300), false)]
-        );
-    }
-
-    #[test]
-    fn inverter_chain_parity() {
-        let mut sim = Simulator::new();
-        let nets: Vec<NetId> = (0..4).map(|_| sim.add_net()).collect();
-        for w in nets.windows(2) {
-            sim.add_inverter(w[0], w[1], ps(50), ps(50));
-        }
-        // Initial state alternates: 0,1,0,1 — consistent, no events.
-        sim.schedule_input(nets[0], ps(100), true);
-        sim.run_to_quiescence(ps(10_000)).expect("settles");
-        assert!(sim.value(nets[0]));
-        assert!(!sim.value(nets[1]));
-        assert!(sim.value(nets[2]));
-        assert!(!sim.value(nets[3]));
+        assert_eq!(sim.transitions(b), &[(ps(1100), true), (ps(2300), false)]);
     }
 
     #[test]
     fn narrow_pulse_is_swallowed() {
-        // Buffer with slow rise (400) and fast fall (100): an input
-        // pulse of width 200 ends (fall arrives at t+100+200=1300)
-        // before the rise would complete (t+400=1400) — the output
-        // never moves.
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(400), ps(100));
-        sim.watch(b);
+        // Slow rise (400), fast fall (100): an input pulse of width
+        // 200 ends (fall arrives at t+100+200=1300) before the rise
+        // would complete (t+400=1400) — the output never moves, the
+        // swallowed rise shows up as a cancellation and dies in the
+        // queue.
+        let (mut sim, a, b) = buffer(400, 100);
         sim.schedule_input(a, ps(1000), true);
         sim.schedule_input(a, ps(1200), false);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
-        assert_eq!(sim.transitions(b), &[]);
+        assert!(sim.transitions(b).is_empty());
         assert!(!sim.value(b));
+        let s = sim.stats();
+        assert!(s.cancellations >= 1, "swallowed pulse cancels: {s:?}");
+        assert!(s.dead_events >= 1, "cancelled event dies in queue: {s:?}");
+        assert_eq!(s.events_scheduled, s.events_processed + s.dead_events);
     }
 
     #[test]
     fn wide_pulse_passes() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(400), ps(100));
-        sim.watch(b);
+        let (mut sim, a, b) = buffer(400, 100);
         sim.schedule_input(a, ps(1000), true);
         sim.schedule_input(a, ps(1500), false);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
         // Rise at 1400, fall at 1600: narrowed from 500 to 200 but
-        // alive.
+        // alive; all four events processed, nothing cancelled.
         assert_eq!(sim.transitions(b), &[(ps(1400), true), (ps(1600), false)]);
+        let s = sim.stats();
+        assert_eq!(s.events_processed, 4);
+        assert_eq!(s.cancellations, 0);
+        assert!(s.peak_queue_depth >= 1);
     }
 
     #[test]
-    fn clock_source_produces_edges() {
-        let mut sim = Simulator::new();
-        let clk = sim.add_net();
-        sim.watch(clk);
-        sim.schedule_clock(clk, ps(100), ps(1000), ps(500), 3);
-        sim.run_to_quiescence(ps(100_000)).expect("settles");
-        assert_eq!(sim.transitions(clk).len(), 6);
-        assert_eq!(sim.transitions(clk)[0], (ps(100), true));
-        assert_eq!(sim.transitions(clk)[5], (ps(2600), false));
+    fn inverter_chain_starts_consistent_and_settles_by_parity() {
+        let mut nl = Netlist::new();
+        let wires: Vec<WireId> = (0..4).map(|_| nl.add_wire()).collect();
+        for w in wires.windows(2) {
+            nl.add_inverter(w[0], w[1], ps(50), ps(50));
+        }
+        let mut sim = NetSim::from_netlist(nl);
+        // Initial state alternates: 0,1,0,1 — consistent, no events.
+        assert_eq!(sim.pending_events(), 0);
+        sim.schedule_input(wires[0], ps(100), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        let values: Vec<bool> = wires.iter().map(|&w| sim.value(w)).collect();
+        assert_eq!(values, [true, false, true, false]);
     }
 
     #[test]
     fn register_samples_on_rising_edge() {
-        let mut sim = Simulator::new();
-        let d = sim.add_net();
-        let clk = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clk, q, ps(50), ps(50), ps(20));
-        sim.watch(q);
+        let (mut sim, d, clk, q) = register(50, 50, 20);
         sim.schedule_input(d, ps(100), true);
         sim.schedule_input(clk, ps(500), true);
         sim.schedule_input(clk, ps(700), false);
@@ -1305,27 +1109,24 @@ mod tests {
 
     #[test]
     fn setup_violation_detected() {
-        let mut sim = Simulator::new();
-        let d = sim.add_net();
-        let clk = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clk, q, ps(100), ps(100), ps(20));
+        let (mut sim, d, clk, _) = register(100, 100, 20);
         // Data changes 30 ps before the edge: setup (100) violated.
         sim.schedule_input(d, ps(470), true);
         sim.schedule_input(clk, ps(500), true);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
-        assert_eq!(sim.violations().len(), 1);
-        assert_eq!(sim.violations()[0].kind, ViolationKind::Setup);
-        assert_eq!(sim.violations()[0].at, ps(500));
+        assert_eq!(
+            sim.violations(),
+            &[TimingViolation {
+                at: ps(500),
+                data_wire: d,
+                kind: ViolationKind::Setup
+            }]
+        );
     }
 
     #[test]
     fn hold_violation_detected() {
-        let mut sim = Simulator::new();
-        let d = sim.add_net();
-        let clk = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clk, q, ps(100), ps(100), ps(20));
+        let (mut sim, d, clk, _) = register(100, 100, 20);
         sim.schedule_input(clk, ps(500), true);
         // Data changes 40 ps after the edge: hold (100) violated.
         sim.schedule_input(d, ps(540), true);
@@ -1335,24 +1136,113 @@ mod tests {
     }
 
     #[test]
-    fn clean_timing_no_violations() {
-        let mut sim = Simulator::new();
-        let d = sim.add_net();
-        let clk = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clk, q, ps(100), ps(100), ps(20));
+    fn clean_timing_and_zero_windows_record_nothing() {
+        let (mut sim, d, clk, _) = register(100, 100, 20);
         sim.schedule_input(d, ps(200), true);
         sim.schedule_input(clk, ps(500), true);
         sim.schedule_input(clk, ps(900), false);
         sim.schedule_input(d, ps(1100), false);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
         assert!(sim.violations().is_empty());
+        // Zero windows disable the checks even for coincident edges.
+        let (mut sim, d, clk, _) = register(0, 0, 20);
+        sim.schedule_input(clk, ps(500), true);
+        sim.schedule_input(d, ps(500), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert!(sim.violations().is_empty());
     }
 
     #[test]
-    fn run_to_quiescence_reports_still_active() {
-        let mut sim = Simulator::new();
-        let clk = sim.add_net();
+    fn register_passes_edges_closer_than_its_delay() {
+        // No inertial window on q: two samples 10 ps apart both land,
+        // even though clk-to-q is 20 ps.
+        let (mut sim, d, clk, q) = register(0, 0, 20);
+        sim.schedule_input(d, ps(100), true);
+        sim.schedule_input(clk, ps(500), true);
+        sim.schedule_input(clk, ps(505), false);
+        sim.schedule_input(d, ps(507), false);
+        sim.schedule_input(clk, ps(510), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert_eq!(sim.transitions(q), &[(ps(520), true), (ps(530), false)]);
+    }
+
+    #[test]
+    fn c_element_follows_agreement_and_holds_disagreement() {
+        let mut nl = Netlist::new();
+        let (a, b, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_c_element(a, b, q, ps(100));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(q);
+        // Both inputs low at construction: output low, no event.
+        assert_eq!(sim.pending_events(), 0);
+        // a rises alone: hold. b joins: q rises 100 later. a falls
+        // alone: hold. b falls: q falls.
+        sim.schedule_input(a, ps(1000), true);
+        sim.schedule_input(b, ps(2000), true);
+        sim.schedule_input(a, ps(3000), false);
+        sim.schedule_input(b, ps(4000), false);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        assert_eq!(sim.transitions(q), &[(ps(2100), true), (ps(4100), false)]);
+    }
+
+    #[test]
+    fn c_element_rendezvous_of_two_chains() {
+        // Two buffer chains of different lengths meet at a C-element:
+        // the output waits for the slower chain — the rendezvous that
+        // self-timed synchronization is built from.
+        let mut nl = Netlist::new();
+        let src = nl.add_wire();
+        let mut chain = |n: usize| {
+            let mut end = src;
+            for _ in 0..n {
+                let w = nl.add_wire();
+                nl.add_buffer(end, w, ps(100), ps(100));
+                end = w;
+            }
+            end
+        };
+        let (fast, slow) = (chain(2), chain(8));
+        let q = nl.add_wire();
+        nl.add_c_element(fast, slow, q, ps(10));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(q);
+        sim.schedule_input(src, ps(1000), true);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        // Slow chain arrives at 1000 + 800; C fires 10 later.
+        assert_eq!(sim.transitions(q), &[(ps(1810), true)]);
+    }
+
+    #[test]
+    fn two_input_gate_resolves_its_initial_output_through_an_event() {
+        let mut nl = Netlist::new();
+        let (a, b, y) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_gate2(GateFn::Nand, a, b, y, ps(30), ps(40));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(y);
+        assert!(!sim.value(y));
+        assert_eq!(sim.pending_events(), 1);
+        sim.schedule_input(a, ps(100), true);
+        sim.schedule_input(b, ps(200), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert_eq!(sim.transitions(y), &[(ps(30), true), (ps(240), false)]);
+    }
+
+    #[test]
+    fn clock_source_produces_edges_and_a_long_train_is_still_active() {
+        let mut nl = Netlist::new();
+        let clk = nl.add_wire();
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(clk);
+        sim.schedule_clock(clk, ps(100), ps(1000), ps(500), 3);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        let edges = sim.transitions(clk);
+        assert_eq!(edges.len(), 6);
+        assert_eq!(edges[0], (ps(100), true));
+        assert_eq!(edges[5], (ps(2600), false));
+
+        let mut nl = Netlist::new();
+        let clk = nl.add_wire();
+        let mut sim = NetSim::from_netlist(nl);
         sim.schedule_clock(clk, ps(0), ps(1000), ps(500), 1000);
         let err = sim.run_to_quiescence(ps(5_000)).unwrap_err();
         assert_eq!(err.limit, ps(5_000));
@@ -1360,10 +1250,7 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_time() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(100), ps(100));
+        let (mut sim, a, b) = buffer(100, 100);
         sim.schedule_input(a, ps(1000), true);
         sim.run_until(ps(1050));
         assert!(!sim.value(b));
@@ -1373,123 +1260,29 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_inputs_same_trace() {
-        let build = || {
-            let mut sim = Simulator::new();
-            let nets: Vec<NetId> = (0..10).map(|_| sim.add_net()).collect();
-            for w in nets.windows(2) {
-                sim.add_buffer(w[0], w[1], ps(73), ps(91));
-            }
-            sim.watch(nets[9]);
-            sim.schedule_clock(nets[0], ps(0), ps(400), ps(200), 20);
-            sim.run_to_quiescence(ps(1_000_000)).expect("settles");
-            sim.transitions(nets[9]).to_vec()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn c_element_follows_agreement_and_holds_disagreement() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        let q = sim.add_net();
-        sim.add_c_element(a, b, q, ps(100));
-        sim.watch(q);
-        // a rises alone: hold.
-        sim.schedule_input(a, ps(1000), true);
-        // b joins: q rises 100 later.
-        sim.schedule_input(b, ps(2000), true);
-        // a falls alone: hold.
-        sim.schedule_input(a, ps(3000), false);
-        // b falls: q falls.
-        sim.schedule_input(b, ps(4000), false);
-        sim.run_to_quiescence(ps(100_000)).expect("settles");
-        assert_eq!(
-            sim.transitions(q),
-            &[(ps(2100), true), (ps(4100), false)]
-        );
-    }
-
-    #[test]
-    fn c_element_initial_state_follows_agreeing_inputs() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        let q = sim.add_net();
-        // Both inputs low at construction: output low, no event.
-        sim.add_c_element(a, b, q, ps(50));
-        assert!(!sim.value(q));
-        sim.run_to_quiescence(ps(1_000)).expect("settles");
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn c_element_rendezvous_of_two_chains() {
-        // Two buffer chains of different lengths meet at a C-element:
-        // the output waits for the slower chain — the rendezvous that
-        // self-timed synchronization is built from.
-        let mut sim = Simulator::new();
-        let src = sim.add_net();
-        let mut fast = src;
-        for _ in 0..2 {
-            let n = sim.add_net();
-            sim.add_buffer(fast, n, ps(100), ps(100));
-            fast = n;
+    fn budgeted_run_stops_inside_an_instant_and_resumes() {
+        // Four wires all driven at the same instant: a two-event
+        // budget applies exactly two, and the rest still fire later.
+        let mut nl = Netlist::new();
+        let wires: Vec<WireId> = (0..4).map(|_| nl.add_wire()).collect();
+        let mut sim = NetSim::from_netlist(nl);
+        for &w in &wires {
+            sim.schedule_input(w, ps(10), true);
         }
-        let mut slow = src;
-        for _ in 0..8 {
-            let n = sim.add_net();
-            sim.add_buffer(slow, n, ps(100), ps(100));
-            slow = n;
-        }
-        let q = sim.add_net();
-        sim.add_c_element(fast, slow, q, ps(10));
-        sim.watch(q);
-        sim.schedule_input(src, ps(1000), true);
-        sim.run_to_quiescence(ps(100_000)).expect("settles");
-        // Slow chain arrives at 1000 + 800; C fires 10 later.
-        assert_eq!(sim.transitions(q), &[(ps(1810), true)]);
-    }
-
-    #[test]
-    fn stats_count_processed_and_cancelled_events() {
-        // Wide pulse through a buffer: 2 input events + 2 output
-        // events, all processed, nothing cancelled.
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(400), ps(100));
-        sim.schedule_input(a, ps(1000), true);
-        sim.schedule_input(a, ps(1500), false);
-        sim.run_to_quiescence(ps(10_000)).expect("settles");
-        let s = sim.stats();
-        assert_eq!(s.events_processed, 4);
-        assert_eq!(s.cancellations, 0);
-        assert_eq!(s.events_scheduled, s.events_processed + s.dead_events);
-        assert!(s.peak_queue_depth >= 1);
-
-        // Narrow pulse: the swallowed output shows up as an inertial
-        // cancellation, and the cancelled rise dies in the queue.
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(400), ps(100));
-        sim.schedule_input(a, ps(1000), true);
-        sim.schedule_input(a, ps(1200), false);
-        sim.run_to_quiescence(ps(10_000)).expect("settles");
-        let s = sim.stats();
-        assert!(s.cancellations >= 1, "swallowed pulse cancels: {s:?}");
-        assert!(s.dead_events >= 1, "cancelled event dies in queue: {s:?}");
-        assert_eq!(s.events_scheduled, s.events_processed + s.dead_events);
+        let halt = sim.run_budgeted(RunBudget::new(ps(1_000), 2));
+        assert_eq!(halt, Halt::EventLimit { at: ps(10) });
+        assert_eq!(sim.stats().events_processed, 2);
+        assert_eq!(sim.pending_events(), 2);
+        let values: Vec<bool> = wires.iter().map(|&w| sim.value(w)).collect();
+        assert_eq!(values, [true, true, false, false]);
+        let halt = sim.run_budgeted(RunBudget::new(ps(1_000), 10));
+        assert_eq!(halt, Halt::Quiescent { at: ps(10) });
+        assert!(wires.iter().all(|&w| sim.value(w)));
     }
 
     #[test]
     fn record_metrics_exports_counters() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, ps(100), ps(100));
+        let (mut sim, a, _) = buffer(100, 100);
         sim.schedule_input(a, ps(1000), true);
         sim.run_to_quiescence(ps(10_000)).expect("settles");
         let mut m = sim_observe::Metrics::new();
@@ -1500,14 +1293,5 @@ mod tests {
         let peak = m.counter("engine.peak_queue_depth");
         sim.stats().record(&mut m, "engine");
         assert_eq!(m.counter("engine.peak_queue_depth"), peak);
-    }
-
-    #[test]
-    #[should_panic(expected = "delays must be positive")]
-    fn zero_delay_gate_rejected() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_buffer(a, b, SimTime::ZERO, ps(1));
     }
 }

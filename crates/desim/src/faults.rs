@@ -1,39 +1,40 @@
 //! Gate-level fault injection and run-outcome classification.
 //!
 //! Bridges a [`sim_faults::FaultPlan`] to the event engine:
-//! [`inject_net_faults`] walks a set of candidate nets, asks the plan
-//! for each one's fate, and applies it through the engine's fault
-//! hooks ([`Simulator::pin_net`], [`Simulator::schedule_upset`],
-//! [`Simulator::scale_net_delay`]). [`classify_run`] turns the
+//! [`inject_wire_faults`] walks a set of candidate wires, asks the
+//! plan for each one's fate, and applies it through the engine's fault
+//! hooks ([`NetSim::pin_wire`], [`NetSim::schedule_upset`],
+//! [`NetSim::scale_wire_delay`]). [`classify_run`] turns the
 //! watchdog's [`Halt`] plus the caller's completion check into a
 //! structured [`RunOutcome`] — the form every fault-injected trial
 //! must terminate in.
 
-use crate::engine::{Halt, NetId, Simulator};
+use crate::arena::WireId;
+use crate::engine::{Halt, NetSim};
 use crate::time::SimTime;
 use sim_faults::{FaultPlan, GateFault, RunOutcome};
 
-/// Applies the plan's gate faults to `nets`, using each net's dense
+/// Applies the plan's gate faults to `wires`, using each wire's dense
 /// index as its fault-plan site id. Transient upsets land at
 /// `window * at_frac` (clamped to the simulated present). Returns the
 /// number of faults injected.
 ///
 /// Call once after building the circuit and before running it; with a
 /// disabled plan this is a no-op.
-pub fn inject_net_faults(
-    sim: &mut Simulator,
+pub fn inject_wire_faults(
+    sim: &mut NetSim,
     plan: &FaultPlan,
-    nets: &[NetId],
+    wires: &[WireId],
     window: SimTime,
 ) -> u64 {
     if !plan.is_enabled() {
         return 0;
     }
     let mut injected = 0;
-    for &net in nets {
-        match plan.gate_fault(net.index() as u64) {
+    for &wire in wires {
+        match plan.gate_fault(wire.index() as u64) {
             Some(GateFault::StuckAt(v)) => {
-                sim.pin_net(net, v);
+                sim.pin_wire(wire, v);
                 injected += 1;
             }
             Some(GateFault::Transient { at_frac }) => {
@@ -41,11 +42,11 @@ pub fn inject_net_faults(
                     ((window.as_ps() as f64) * at_frac) as u64,
                 )
                 .max(sim.now());
-                sim.schedule_upset(net, at);
+                sim.schedule_upset(wire, at);
                 injected += 1;
             }
             Some(GateFault::Delay { scale_pct }) => {
-                sim.scale_net_delay(net, scale_pct);
+                sim.scale_wire_delay(wire, scale_pct);
                 injected += 1;
             }
             None => {}
@@ -61,7 +62,7 @@ pub fn inject_net_faults(
 /// exhausted sim-time or event budget is [`RunOutcome::Budget`]
 /// (livelock or "too slow to count as working").
 #[must_use]
-pub fn classify_run(sim: &Simulator, halt: Halt, done: bool) -> RunOutcome {
+pub fn classify_run(sim: &NetSim, halt: Halt, done: bool) -> RunOutcome {
     if !sim.violations().is_empty() {
         return RunOutcome::TimingViolation;
     }
@@ -75,6 +76,7 @@ pub fn classify_run(sim: &Simulator, halt: Halt, done: bool) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Netlist;
     use crate::engine::RunBudget;
     use sim_faults::FaultRates;
 
@@ -82,60 +84,60 @@ mod tests {
         SimTime::from_ps(v)
     }
 
-    /// A clean inverter chain driven by one input edge.
-    fn chain(n: usize) -> (Simulator, Vec<NetId>) {
-        let mut sim = Simulator::new();
-        let nets: Vec<NetId> = (0..n).map(|_| sim.add_net()).collect();
-        for w in nets.windows(2) {
-            sim.add_inverter(w[0], w[1], ps(100), ps(100));
+    /// A clean inverter chain, ready for stimulus.
+    fn chain(n: usize) -> (NetSim, Vec<WireId>) {
+        let mut nl = Netlist::new();
+        let wires: Vec<WireId> = (0..n).map(|_| nl.add_wire()).collect();
+        for w in wires.windows(2) {
+            nl.add_inverter(w[0], w[1], ps(100), ps(100));
         }
-        (sim, nets)
+        (NetSim::from_netlist(nl), wires)
     }
 
     #[test]
     fn stuck_at_pin_blocks_all_later_drivers() {
-        let (mut sim, nets) = chain(4);
-        sim.pin_net(nets[1], true);
-        sim.schedule_input(nets[0], ps(500), true);
+        let (mut sim, wires) = chain(4);
+        sim.pin_wire(wires[1], true);
+        sim.schedule_input(wires[0], ps(500), true);
         sim.run_to_quiescence(ps(100_000)).expect("settles");
-        // nets[1] would normally go low (inverted high input) — it is
+        // wires[1] would normally go low (inverted high input) — it is
         // pinned high instead, and the chain repeats from there.
-        assert!(sim.value(nets[1]));
-        assert!(!sim.value(nets[2]));
-        assert!(sim.value(nets[3]));
+        assert!(sim.value(wires[1]));
+        assert!(!sim.value(wires[2]));
+        assert!(sim.value(wires[3]));
         assert!(sim.stats().faults_injected >= 1);
     }
 
     #[test]
     fn upset_flips_and_circuit_reacts() {
-        let (mut sim, nets) = chain(3);
-        sim.watch(nets[2]);
+        let (mut sim, wires) = chain(3);
+        sim.watch(wires[2]);
         // No input stimulus at all; the SEU is the only activity.
-        sim.schedule_upset(nets[0], ps(1_000));
+        sim.schedule_upset(wires[0], ps(1_000));
         sim.run_to_quiescence(ps(100_000)).expect("settles");
-        assert!(sim.value(nets[0]), "upset flipped the net");
-        // Chain parity: net2 follows net0 after 200 ps.
-        assert_eq!(sim.transitions(nets[2]), &[(ps(1_200), true)]);
+        assert!(sim.value(wires[0]), "upset flipped the wire");
+        // Chain parity: wire 2 follows wire 0 after 200 ps.
+        assert_eq!(sim.transitions(wires[2]), &[(ps(1_200), true)]);
         assert_eq!(sim.stats().faults_injected, 1);
     }
 
     #[test]
     fn delay_fault_stretches_propagation() {
-        let (mut sim, nets) = chain(2);
-        sim.watch(nets[1]);
-        sim.scale_net_delay(nets[1], 300); // 3x nominal
-        sim.schedule_input(nets[0], ps(1_000), true);
+        let (mut sim, wires) = chain(2);
+        sim.watch(wires[1]);
+        sim.scale_wire_delay(wires[1], 300); // 3x nominal
+        sim.schedule_input(wires[0], ps(1_000), true);
         sim.run_to_quiescence(ps(100_000)).expect("settles");
-        assert_eq!(sim.transitions(nets[1]), &[(ps(1_300), false)]);
+        assert_eq!(sim.transitions(wires[1]), &[(ps(1_300), false)]);
     }
 
     #[test]
     fn budgeted_run_classifies_quiescent_done_as_ok() {
-        let (mut sim, nets) = chain(3);
-        sim.schedule_input(nets[0], ps(100), true);
+        let (mut sim, wires) = chain(3);
+        sim.schedule_input(wires[0], ps(100), true);
         let halt = sim.run_budgeted(RunBudget::new(ps(100_000), 1_000));
         assert!(matches!(halt, Halt::Quiescent { .. }));
-        let done = sim.value(nets[2]); // workload: the edge arrived
+        let done = sim.value(wires[2]); // workload: the edge arrived
         assert_eq!(classify_run(&sim, halt, done), RunOutcome::Ok);
     }
 
@@ -145,12 +147,11 @@ mod tests {
         // request propagates, the acknowledge never forms, the circuit
         // quiesces with the obligation unmet — a deadlock, detected
         // and classified instead of hanging.
-        let mut sim = Simulator::new();
-        let req = sim.add_net();
-        let peer = sim.add_net();
-        let ack = sim.add_net();
-        sim.add_c_element(req, peer, ack, ps(50));
-        sim.pin_net(peer, false); // the lost transition
+        let mut nl = Netlist::new();
+        let (req, peer, ack) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_c_element(req, peer, ack, ps(50));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.pin_wire(peer, false); // the lost transition
         sim.schedule_input(req, ps(100), true);
         let halt = sim.run_budgeted(RunBudget::new(ps(1_000_000), 10_000));
         assert!(matches!(halt, Halt::Quiescent { .. }));
@@ -161,16 +162,14 @@ mod tests {
     #[test]
     fn watchdog_classifies_oscillation_as_budget() {
         // A free-running clock never quiesces: the event budget trips.
-        let mut sim = Simulator::new();
-        let clk = sim.add_net();
-        sim.schedule_clock(clk, ps(0), ps(1_000), ps(500), 100_000);
+        let (mut sim, wires) = chain(1);
+        sim.schedule_clock(wires[0], ps(0), ps(1_000), ps(500), 100_000);
         let halt = sim.run_budgeted(RunBudget::new(ps(u64::MAX / 2), 500));
         assert!(matches!(halt, Halt::EventLimit { .. }));
         assert_eq!(classify_run(&sim, halt, false), RunOutcome::Budget);
         // And a sim-time budget trips on its own.
-        let mut sim = Simulator::new();
-        let clk = sim.add_net();
-        sim.schedule_clock(clk, ps(0), ps(1_000), ps(500), 100_000);
+        let (mut sim, wires) = chain(1);
+        sim.schedule_clock(wires[0], ps(0), ps(1_000), ps(500), 100_000);
         let halt = sim.run_budgeted(RunBudget::new(ps(10_000), u64::MAX));
         assert!(matches!(halt, Halt::SimLimit { .. }));
         assert_eq!(classify_run(&sim, halt, false), RunOutcome::Budget);
@@ -178,11 +177,10 @@ mod tests {
 
     #[test]
     fn timing_violations_dominate_classification() {
-        let mut sim = Simulator::new();
-        let d = sim.add_net();
-        let clk = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clk, q, ps(100), ps(100), ps(20));
+        let mut nl = Netlist::new();
+        let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_register(d, clk, q, ps(100), ps(100), ps(20));
+        let mut sim = NetSim::from_netlist(nl);
         sim.schedule_input(d, ps(470), true);
         sim.schedule_input(clk, ps(500), true);
         let halt = sim.run_budgeted(RunBudget::new(ps(100_000), 1_000));
@@ -196,20 +194,20 @@ mod tests {
     fn plan_driven_injection_is_deterministic() {
         let plan = FaultPlan::new(1, 7, FaultRates::uniform(0.4));
         let run = || {
-            let (mut sim, nets) = chain(32);
-            let injected = inject_net_faults(&mut sim, &plan, &nets, ps(10_000));
-            sim.schedule_input(nets[0], ps(100), true);
+            let (mut sim, wires) = chain(32);
+            let injected = inject_wire_faults(&mut sim, &plan, &wires, ps(10_000));
+            sim.schedule_input(wires[0], ps(100), true);
             let halt = sim.run_budgeted(RunBudget::new(ps(1_000_000), 100_000));
-            let values: Vec<bool> = nets.iter().map(|&n| sim.value(n)).collect();
+            let values: Vec<bool> = wires.iter().map(|&w| sim.value(w)).collect();
             (injected, halt, values, sim.stats())
         };
         assert_eq!(run(), run());
         let (injected, ..) = run();
-        assert!(injected > 0, "a 40% plan over 32 nets injects something");
+        assert!(injected > 0, "a 40% plan over 32 wires injects something");
         // A disabled plan injects nothing.
-        let (mut sim, nets) = chain(8);
+        let (mut sim, wires) = chain(8);
         assert_eq!(
-            inject_net_faults(&mut sim, &FaultPlan::disabled(), &nets, ps(1_000)),
+            inject_wire_faults(&mut sim, &FaultPlan::disabled(), &wires, ps(1_000)),
             0
         );
         assert_eq!(sim.stats().faults_injected, 0);
@@ -217,16 +215,15 @@ mod tests {
 
     #[test]
     fn upsets_appear_in_the_event_trace_and_pass_the_checker() {
-        let (mut sim, nets) = chain(3);
+        let (mut sim, wires) = chain(3);
         sim.enable_trace(1 << 10);
-        sim.schedule_input(nets[0], ps(100), true);
-        sim.schedule_upset(nets[1], ps(5_000));
+        sim.schedule_input(wires[0], ps(100), true);
+        sim.schedule_upset(wires[1], ps(5_000));
         sim.run_to_quiescence(ps(100_000)).expect("settles");
         let buf = sim.take_trace().expect("tracing enabled");
         let (events, _) = buf.into_ordered();
-        assert!(events
-            .iter()
-            .any(|e| e.kind() == "fault_injected" && e.to_text().contains("seu_flip")));
+        assert!(events.iter().any(|e| e.kind() == "fault_injected"
+            && e.to_text().contains("site=net1 kind=seu_flip")));
         let mut trace = sim_observe::Trace::new();
         let mut buf2 = sim_observe::TraceBuf::new(events.len());
         for ev in events {

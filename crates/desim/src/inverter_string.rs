@@ -11,7 +11,7 @@
 //!   pulse *shrinks* per stage due to the rise/fall discrepancy (the
 //!   paper measured ≈ 500 ns — 68× faster).
 //!
-//! This module reproduces the experiment on the [`Simulator`]: each
+//! This module reproduces the experiment on the [`NetSim`] engine: each
 //! inverter gets a rise and fall delay composed of a base delay, a
 //! deterministic design *bias* (the paper's circuit favoured falling
 //! edges), and a Gaussian per-stage discrepancy (the paper's √n yield
@@ -20,8 +20,9 @@
 //! end" — narrower pulses are swallowed by the simulator's inertial
 //! delay exactly as the physical string swallows them.
 
+use crate::arena::{Netlist, WireId};
 use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator};
+use crate::engine::NetSim;
 use crate::stats::sample_normal;
 use crate::time::SimTime;
 use sim_runtime::{ParallelSweep, SimRng};
@@ -262,8 +263,8 @@ impl InverterString {
     }
 
     /// The chip as a [`ChainStage`] list — the single source of truth
-    /// both the legacy [`Simulator`] and the flat netlist core build
-    /// their circuits from (see [`crate::chain`]).
+    /// every simulation of this chip builds its circuit from (see
+    /// [`crate::chain`]).
     #[must_use]
     pub fn chain_stages(&self) -> Vec<ChainStage> {
         self.delays
@@ -287,10 +288,11 @@ impl InverterString {
         SimTime::from_ps(ps)
     }
 
-    fn build(&self) -> (Simulator, NetId, NetId) {
-        let mut sim = Simulator::new();
-        let nodes = build_chain(&mut sim, &self.chain_stages());
+    fn build(&self) -> (NetSim, WireId, WireId) {
+        let mut nl = Netlist::new();
+        let nodes = build_chain(&mut nl, &self.chain_stages());
         let (input, far) = (nodes[0], *nodes.last().expect("non-empty chain"));
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(far);
         (sim, input, far)
     }
@@ -336,7 +338,7 @@ impl InverterString {
         let limit = period * (cycles as u64 + 4)
             + self.spec.base_delay * (4 * self.spec.stages as u64 + 16);
         sim.run_to_quiescence(limit).expect("chain settles");
-        sim.transitions(output).len() == 2 * cycles
+        sim.transitions_ps(output).len() == 2 * cycles
     }
 
     /// Finds, by binary search, the minimum period at which a
@@ -373,8 +375,8 @@ impl InverterString {
     }
 
     /// Runs a pipelined clock of the given `period` for `cycles`
-    /// cycles with `taps` evenly spaced nets along the string watched,
-    /// and returns the finished simulator together with `(net, name)`
+    /// cycles with `taps` evenly spaced wires along the string watched,
+    /// and returns the finished simulator together with `(wire, name)`
     /// pairs ready for [`crate::vcd::export_vcd`] — the machinery
     /// behind the `e6` binary's `--vcd` flag.
     ///
@@ -392,7 +394,7 @@ impl InverterString {
         period: SimTime,
         cycles: usize,
         taps: usize,
-    ) -> (Simulator, Vec<(NetId, String)>) {
+    ) -> (NetSim, Vec<(WireId, String)>) {
         self.waveform_impl(period, cycles, taps, None)
     }
 
@@ -400,7 +402,7 @@ impl InverterString {
     /// tracing enabled on the simulator before the clock train starts
     /// (ring capacity `trace_capacity`), with the clock input marked as
     /// phase-0 `clk_in`. Retrieve the ring from the returned simulator
-    /// with [`Simulator::take_trace`].
+    /// with [`NetSim::take_trace`].
     ///
     /// # Panics
     ///
@@ -412,7 +414,7 @@ impl InverterString {
         cycles: usize,
         taps: usize,
         trace_capacity: usize,
-    ) -> (Simulator, Vec<(NetId, String)>) {
+    ) -> (NetSim, Vec<(WireId, String)>) {
         self.waveform_impl(period, cycles, taps, Some(trace_capacity))
     }
 
@@ -422,11 +424,12 @@ impl InverterString {
         cycles: usize,
         taps: usize,
         trace_capacity: Option<usize>,
-    ) -> (Simulator, Vec<(NetId, String)>) {
+    ) -> (NetSim, Vec<(WireId, String)>) {
         assert!(period.as_ps() >= 2, "period too small");
         assert!(cycles > 0, "need at least one cycle");
-        let mut sim = Simulator::new();
-        let nets = build_chain(&mut sim, &self.chain_stages());
+        let mut nl = Netlist::new();
+        let nets = build_chain(&mut nl, &self.chain_stages());
+        let mut sim = NetSim::from_netlist(nl);
         let input = nets[0];
         let taps = taps.clamp(2, nets.len());
         let mut signals = Vec::with_capacity(taps);
@@ -463,8 +466,8 @@ impl InverterString {
     }
 }
 
-fn last_transition(sim: &Simulator, net: NetId) -> Option<SimTime> {
-    sim.transitions(net).last().map(|&(t, _)| t)
+fn last_transition(sim: &NetSim, wire: WireId) -> Option<SimTime> {
+    sim.transitions_ps(wire).last().map(|&(t, _)| SimTime::from_ps(t))
 }
 
 #[cfg(test)]
@@ -656,11 +659,11 @@ mod tests {
         assert_eq!(signals[0].1, "clk_in");
         assert_eq!(signals.last().expect("taps").1, "stage_32");
         // Every tap carries the full clock train: 2 transitions/cycle.
-        for (net, name) in &signals {
-            assert_eq!(sim.transitions(*net).len(), 6, "tap {name}");
+        for (wire, name) in &signals {
+            assert_eq!(sim.transitions_ps(*wire).len(), 6, "tap {name}");
         }
         // And the result feeds straight into the VCD exporter.
-        let named: Vec<(NetId, &str)> =
+        let named: Vec<(WireId, &str)> =
             signals.iter().map(|(n, s)| (*n, s.as_str())).collect();
         let vcd = crate::vcd::export_vcd(&sim, &named);
         assert!(vcd.contains("$var wire 1 ! clk_in $end"));

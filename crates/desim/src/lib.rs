@@ -7,23 +7,39 @@
 //! gate-level simulation that models the same mechanisms —
 //! distance-proportional propagation, asymmetric rise/fall delays,
 //! pulse swallowing (inertial delay), and register setup/hold
-//! violations.
+//! violations — on one event engine laid out for million-gate
+//! circuits.
 //!
 //! * [`time`] — integer picosecond simulation time;
-//! * [`engine`] — nets, gates, registers, and the event loop;
+//! * [`arena`] — the flat struct-of-arrays netlist: [`Netlist`]
+//!   builder, [`SealedNetlist`] with its CSR fanout table;
+//! * [`engine`] — [`NetSim`], the event loop: calendar-wheel
+//!   scheduler, inertial delay, fault hooks, setup/hold checking,
+//!   budgeted runs;
+//! * [`chain`] — linear chains as data ([`ChainStage`]);
 //! * [`inverter_string`] — the Section VII experiment harness:
 //!   equipotential vs pipelined clocking of a long inverter string;
+//! * [`one_shot_string`], [`clocked_chain`], [`muller`],
+//!   [`stoppable_clock`] — the other gate-level circuits;
+//! * [`faults`] — fault-plan injection and run classification;
+//! * [`vcd`] — waveform export;
 //! * [`stats`] — Gaussian sampling and summary statistics.
+//!
+//! [`Netlist`]: arena::Netlist
+//! [`SealedNetlist`]: arena::SealedNetlist
+//! [`NetSim`]: engine::NetSim
+//! [`ChainStage`]: chain::ChainStage
 //!
 //! # Example: skew causes synchronization failure
 //!
 //! ```
 //! use desim::prelude::*;
 //!
-//! let mut sim = Simulator::new();
-//! let (d, clk, q) = (sim.add_net(), sim.add_net(), sim.add_net());
-//! sim.add_register(d, clk, q,
+//! let mut nl = Netlist::new();
+//! let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+//! nl.add_register(d, clk, q,
 //!     SimTime::from_ps(100), SimTime::from_ps(100), SimTime::from_ps(20));
+//! let mut sim = NetSim::from_netlist(nl);
 //! // Data arrives 30 ps before the clock edge: setup violated.
 //! sim.schedule_input(d, SimTime::from_ps(470), true);
 //! sim.schedule_input(clk, SimTime::from_ps(500), true);
@@ -34,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod arena;
 pub mod chain;
 pub mod clocked_chain;
 pub mod engine;
@@ -43,18 +60,19 @@ pub mod muller;
 pub mod one_shot_string;
 pub mod stats;
 pub mod stoppable_clock;
-pub mod vcd;
 pub mod time;
+pub mod vcd;
+mod wheel;
 
 /// Convenient re-exports of the crate's primary items.
 pub mod prelude {
-    pub use crate::chain::{build_chain, ChainSink, ChainStage};
+    pub use crate::arena::{GateFn, GateId, GateKind, Netlist, SealedNetlist, WireId};
+    pub use crate::chain::{build_chain, ChainStage};
     pub use crate::clocked_chain::{analytic_min_period, run_chain, ChainOutcome, ClockedChainSpec};
     pub use crate::engine::{
-        EngineStats, GateFn, Halt, NetId, RunBudget, Simulator, StillActiveError,
-        TimingViolation, ViolationKind,
+        EngineStats, Halt, NetSim, RunBudget, StillActiveError, TimingViolation, ViolationKind,
     };
-    pub use crate::faults::{classify_run, inject_net_faults};
+    pub use crate::faults::{classify_run, inject_wire_faults};
     pub use crate::inverter_string::{
         fabrication_yield, fabrication_yield_par, InverterString, InverterStringResult,
         InverterStringSpec,

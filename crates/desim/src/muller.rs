@@ -21,15 +21,16 @@
 //! while latency grows linearly — measured here on an actual gate
 //! netlist rather than an abstract recurrence.
 
-use crate::engine::{NetId, Simulator};
+use crate::arena::{Netlist, WireId};
+use crate::engine::NetSim;
 use crate::time::SimTime;
 use sim_observe::{TraceBuf, TraceEvent};
 
 /// A gate-level self-timed pipeline of C-elements.
 #[derive(Debug)]
 pub struct MullerPipeline {
-    sim: Simulator,
-    stage_nets: Vec<NetId>,
+    sim: NetSim,
+    stage_wires: Vec<WireId>,
     built_stages: usize,
     source_inv_delay: SimTime,
 }
@@ -59,29 +60,30 @@ impl MullerPipeline {
             c_delay > SimTime::ZERO && inv_delay > SimTime::ZERO,
             "gate delays must be positive"
         );
-        let mut sim = Simulator::new();
+        let mut nl = Netlist::new();
         // s[0] is the source state; s[i] the output of C_i.
-        let s: Vec<NetId> = (0..=stages).map(|_| sim.add_net()).collect();
-        // Ack nets: nb[i] = NOT s[i+1] for i in 1..stages; the last
+        let s: Vec<WireId> = (0..=stages).map(|_| nl.add_wire()).collect();
+        // Ack wires: nb[i] = NOT s[i+1] for i in 1..stages; the last
         // stage's ack comes from an inverter on its own output (an
         // always-willing consumer with one inverter of consume time).
         for i in 1..=stages {
-            let ack = sim.add_net();
+            let ack = nl.add_wire();
             if i < stages {
-                sim.add_inverter(s[i + 1], ack, inv_delay, inv_delay);
+                nl.add_inverter(s[i + 1], ack, inv_delay, inv_delay);
             } else {
-                sim.add_inverter(s[stages], ack, inv_delay, inv_delay);
+                nl.add_inverter(s[stages], ack, inv_delay, inv_delay);
             }
-            sim.add_c_element(s[i - 1], ack, s[i], c_delay);
+            nl.add_c_element(s[i - 1], ack, s[i], c_delay);
         }
         // Self-oscillating source: s0 = NOT s1 (token injected as soon
         // as stage 1 accepted the previous one).
-        sim.add_inverter(s[1], s[0], inv_delay, inv_delay);
+        nl.add_inverter(s[1], s[0], inv_delay, inv_delay);
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(s[stages]);
         sim.watch(s[0]);
         MullerPipeline {
             sim,
-            stage_nets: s,
+            stage_wires: s,
             built_stages: stages,
             source_inv_delay: inv_delay,
         }
@@ -106,15 +108,15 @@ impl MullerPipeline {
     /// As for [`MullerPipeline::run`].
     #[must_use]
     pub fn run_traced(mut self, until: SimTime, capacity: usize) -> (MullerRun, TraceBuf) {
-        let s0 = self.stage_nets[0];
-        let s1 = self.stage_nets[1];
+        let s0 = self.stage_wires[0];
+        let s1 = self.stage_wires[1];
         self.sim.watch(s1);
         let run = self.kicked_run(until);
         let mut events: Vec<(SimTime, bool, bool)> = Vec::new(); // (t, is_req, value)
         for &(t, v) in self.sim.transitions(s0).iter().skip(1) {
             events.push((t, true, v));
         }
-        for &(t, v) in self.sim.transitions(s1) {
+        for (t, v) in self.sim.transitions(s1) {
             events.push((t, false, v));
         }
         // Stable merge: requests precede their (later) acks; the link
@@ -153,18 +155,18 @@ impl MullerPipeline {
     }
 
     fn kicked_run(&mut self, until: SimTime) -> MullerRun {
-        // Power-on kick. Construction leaves the source net statically
+        // Power-on kick. Construction leaves the source wire statically
         // at 1 (the source inverter's consistent state), which is not
         // an *event*, so nothing reacts. Pull it low, then raise it
         // again after the source inverter's inertial window: the
         // rising transition is the first token, and the inverter loop
         // sustains the stream afterwards.
-        let s0 = self.stage_nets[0];
+        let s0 = self.stage_wires[0];
         let gap = self.source_inv_delay * 2 + SimTime::from_ps(2);
         self.sim.schedule_input(s0, SimTime::from_ps(1), false);
         self.sim.schedule_input(s0, SimTime::from_ps(1) + gap, true);
         self.sim.run_until(until);
-        let out = *self.stage_nets.last().expect("non-empty");
+        let out = *self.stage_wires.last().expect("non-empty");
         let transitions = self.sim.transitions(out);
         assert!(
             transitions.len() >= 2,

@@ -15,10 +15,11 @@
 //! delay variation. The cost the paper names — the wired-in pulse
 //! width — is the `pulse_width` parameter.
 //!
-//! [`OneShot`]: crate::engine::Simulator::add_one_shot
+//! [`OneShot`]: crate::arena::Netlist::add_one_shot
 
+use crate::arena::{Netlist, WireId};
 use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator};
+use crate::engine::NetSim;
 use crate::stats::sample_normal;
 use crate::time::SimTime;
 use sim_runtime::SimRng;
@@ -81,8 +82,7 @@ impl OneShotString {
         self.delays.len()
     }
 
-    /// The string as a [`ChainStage`] list, shared with the netlist
-    /// core (see [`crate::chain`]).
+    /// The string as a [`ChainStage`] list (see [`crate::chain`]).
     #[must_use]
     pub fn chain_stages(&self) -> Vec<ChainStage> {
         self.delays
@@ -94,10 +94,11 @@ impl OneShotString {
             .collect()
     }
 
-    fn build(&self) -> (Simulator, NetId, NetId) {
-        let mut sim = Simulator::new();
-        let nodes = build_chain(&mut sim, &self.chain_stages());
+    fn build(&self) -> (NetSim, WireId, WireId) {
+        let mut nl = Netlist::new();
+        let nodes = build_chain(&mut nl, &self.chain_stages());
         let (input, far) = (nodes[0], *nodes.last().expect("non-empty chain"));
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(far);
         (sim, input, far)
     }
@@ -120,7 +121,7 @@ impl OneShotString {
             10 + period.as_ps() * (cycles as u64 + 4) + 4 * total_delay + 1_000,
         );
         sim.run_to_quiescence(limit).expect("feed-forward settles");
-        sim.transitions(output).len() == 2 * cycles
+        sim.transitions_ps(output).len() == 2 * cycles
     }
 
     /// Binary-searches the minimum workable period.

@@ -11,17 +11,17 @@
 //! cleanly, while a free-running clock sampling the same traffic
 //! records violations.
 
-use crate::engine::{GateFn, NetId, Simulator};
+use crate::arena::{GateFn, Netlist, WireId};
 use crate::time::SimTime;
 
-/// Handles to a gated ring-oscillator clock inside a [`Simulator`].
+/// Handles to a gated ring-oscillator clock inside a [`Netlist`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoppableClock {
     /// Drive high to run the clock, low to park it (parked level is
     /// high).
-    pub enable: NetId,
+    pub enable: WireId,
     /// The clock output.
-    pub clk: NetId,
+    pub clk: WireId,
     /// The oscillation period.
     pub period: SimTime,
 }
@@ -36,7 +36,7 @@ pub struct StoppableClock {
 ///
 /// Panics unless `half_stages ≥ 1` and delays are positive.
 pub fn add_stoppable_clock(
-    sim: &mut Simulator,
+    nl: &mut Netlist,
     half_stages: usize,
     inv_delay: SimTime,
     nand_delay: SimTime,
@@ -46,19 +46,18 @@ pub fn add_stoppable_clock(
         inv_delay > SimTime::ZERO && nand_delay > SimTime::ZERO,
         "delays must be positive"
     );
-    let enable = sim.add_net();
-    let clk = sim.add_net();
-    let nand_out = sim.add_net();
+    let enable = nl.add_wire();
+    let clk = nl.add_wire();
+    let nand_out = nl.add_wire();
     // Chain: nand_out -> inv -> inv -> … -> clk (2·half_stages invs).
     let mut prev = nand_out;
     for _ in 0..2 * half_stages - 1 {
-        let n = sim.add_net();
-        sim.add_inverter(prev, n, inv_delay, inv_delay);
-        prev = n;
+        let w = nl.add_wire();
+        nl.add_inverter(prev, w, inv_delay, inv_delay);
+        prev = w;
     }
-    sim.add_inverter(prev, clk, inv_delay, inv_delay);
-    sim.add_gate2(GateFn::Nand, enable, clk, nand_out, nand_delay, nand_delay);
-    sim.watch(clk);
+    nl.add_inverter(prev, clk, inv_delay, inv_delay);
+    nl.add_gate2(GateFn::Nand, enable, clk, nand_out, nand_delay, nand_delay);
     let loop_delay = nand_delay + inv_delay * (2 * half_stages as u64);
     StoppableClock {
         enable,
@@ -70,14 +69,30 @@ pub fn add_stoppable_clock(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ViolationKind;
+    use crate::engine::{NetSim, ViolationKind};
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)
     }
 
+    /// The standard test clock, optionally sampling a data wire `d`
+    /// into a register; returns the simulator (clock watched), the
+    /// clock handles and `d`.
+    fn clock(with_register: bool) -> (NetSim, StoppableClock, WireId) {
+        let mut nl = Netlist::new();
+        let clock = add_stoppable_clock(&mut nl, 2, ps(50), ps(80));
+        let d = nl.add_wire();
+        if with_register {
+            let q = nl.add_wire();
+            nl.add_register(d, clock.clk, q, ps(60), ps(60), ps(30));
+        }
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(clock.clk);
+        (sim, clock, d)
+    }
+
     /// Count clk transitions in a window.
-    fn edges_between(sim: &Simulator, clk: NetId, from: SimTime, to: SimTime) -> usize {
+    fn edges_between(sim: &NetSim, clk: WireId, from: SimTime, to: SimTime) -> usize {
         sim.transitions(clk)
             .iter()
             .filter(|&&(t, _)| t >= from && t < to)
@@ -86,8 +101,7 @@ mod tests {
 
     #[test]
     fn parked_clock_is_silent() {
-        let mut sim = Simulator::new();
-        let clock = add_stoppable_clock(&mut sim, 2, ps(50), ps(80));
+        let (mut sim, clock, _) = clock(false);
         sim.run_to_quiescence(ps(1_000_000)).expect("parked = quiescent");
         // At most the single power-on transition to the parked level.
         assert!(sim.transitions(clock.clk).len() <= 1);
@@ -96,8 +110,7 @@ mod tests {
 
     #[test]
     fn enabled_clock_oscillates_at_loop_period() {
-        let mut sim = Simulator::new();
-        let clock = add_stoppable_clock(&mut sim, 2, ps(50), ps(80));
+        let (mut sim, clock, _) = clock(false);
         sim.schedule_input(clock.enable, ps(100), true);
         sim.run_until(ps(50_000));
         let edges = sim.transitions(clock.clk);
@@ -116,8 +129,7 @@ mod tests {
 
     #[test]
     fn disabling_parks_and_reenabling_resumes() {
-        let mut sim = Simulator::new();
-        let clock = add_stoppable_clock(&mut sim, 2, ps(50), ps(80));
+        let (mut sim, clock, _) = clock(false);
         sim.schedule_input(clock.enable, ps(100), true);
         sim.schedule_input(clock.enable, ps(20_000), false);
         sim.schedule_input(clock.enable, ps(40_000), true);
@@ -138,11 +150,7 @@ mod tests {
         // Protocol: data may only change while the clock is parked;
         // the clock is started (asynchronously) afterwards and stopped
         // again before the next change — Fig. 8's discipline.
-        let mut sim = Simulator::new();
-        let clock = add_stoppable_clock(&mut sim, 2, ps(50), ps(80));
-        let d = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clock.clk, q, ps(60), ps(60), ps(30));
+        let (mut sim, clock, d) = clock(true);
         let mut t = ps(1_000);
         for i in 0..20u64 {
             // Change data while parked…
@@ -169,11 +177,7 @@ mod tests {
         // The contrast: the same data traffic against an always-on
         // clock whose phase drifts over the data eventually lands a
         // change inside a setup/hold window.
-        let mut sim = Simulator::new();
-        let clock = add_stoppable_clock(&mut sim, 2, ps(50), ps(80));
-        let d = sim.add_net();
-        let q = sim.add_net();
-        sim.add_register(d, clock.clk, q, ps(60), ps(60), ps(30));
+        let (mut sim, clock, d) = clock(true);
         sim.schedule_input(clock.enable, ps(100), true);
         // Data toggling with a period incommensurate with the clock's
         // 960 ps: phases sweep the whole cycle.

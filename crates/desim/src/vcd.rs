@@ -7,11 +7,12 @@
 //!   contribute `(name, initial value, transitions)` triples, so
 //!   analytic models (e.g. clock-tap arrival times computed from a
 //!   tree, with no event simulator behind them) dump waveforms next to
-//!   simulated nets.
-//! * [`export_vcd`] — the original convenience wrapper: dump watched
-//!   nets of a [`Simulator`] directly.
+//!   simulated wires.
+//! * [`export_vcd`] — the convenience wrapper: dump watched wires of a
+//!   [`NetSim`] directly.
 
-use crate::engine::{NetId, Simulator};
+use crate::arena::WireId;
+use crate::engine::NetSim;
 
 /// One registered VCD signal: display name, initial value, and
 /// `(time_ps, new_value)` transitions.
@@ -77,27 +78,23 @@ impl VcdWriter {
         });
     }
 
-    /// Registers a simulator net under `name`, using its recorded
-    /// transitions (see [`Simulator::watch`]). A net that was never
+    /// Registers a simulator wire under `name`, using its recorded
+    /// transitions (see [`NetSim::watch`]). A wire that was never
     /// watched (or never changed) appears with its initial value only.
     /// The initial value is inferred as the complement of the first
-    /// recorded transition when one exists, else the net's current
+    /// recorded transition when one exists, else the wire's current
     /// value.
     ///
     /// # Panics
     ///
     /// As for [`VcdWriter::add_signal`].
-    pub fn add_net(&mut self, sim: &Simulator, net: NetId, name: &str) {
-        let transitions: Vec<(u64, bool)> = sim
-            .transitions(net)
-            .iter()
-            .map(|&(t, v)| (t.as_ps(), v))
-            .collect();
+    pub fn add_wire(&mut self, sim: &NetSim, wire: WireId, name: &str) {
+        let transitions = sim.transitions_ps(wire);
         let initial = match transitions.first() {
             Some(&(_, first_value)) => !first_value,
-            None => sim.value(net),
+            None => sim.value(wire),
         };
-        self.add_signal(name, initial, transitions);
+        self.add_signal(name, initial, transitions.iter().copied());
     }
 
     /// Number of registered signals.
@@ -150,13 +147,13 @@ impl VcdWriter {
     }
 }
 
-/// Renders the recorded transitions of the given `(net, name)` pairs
+/// Renders the recorded transitions of the given `(wire, name)` pairs
 /// as a VCD document with 1 ps timescale — the [`VcdWriter`]
 /// convenience wrapper for pure-simulator dumps.
 ///
 /// # Panics
 ///
-/// Panics if two nets are given the same display name, or a name is
+/// Panics if two wires are given the same display name, or a name is
 /// empty or contains whitespace.
 ///
 /// # Examples
@@ -164,10 +161,10 @@ impl VcdWriter {
 /// ```
 /// use desim::prelude::*;
 ///
-/// let mut sim = Simulator::new();
-/// let a = sim.add_net();
-/// let b = sim.add_net();
-/// sim.add_buffer(a, b, SimTime::from_ps(5), SimTime::from_ps(5));
+/// let mut nl = Netlist::new();
+/// let (a, b) = (nl.add_wire(), nl.add_wire());
+/// nl.add_buffer(a, b, SimTime::from_ps(5), SimTime::from_ps(5));
+/// let mut sim = NetSim::from_netlist(nl);
 /// sim.watch(a);
 /// sim.watch(b);
 /// sim.schedule_input(a, SimTime::from_ps(10), true);
@@ -177,10 +174,10 @@ impl VcdWriter {
 /// assert!(vcd.contains("#10"));
 /// ```
 #[must_use]
-pub fn export_vcd(sim: &Simulator, nets: &[(NetId, &str)]) -> String {
+pub fn export_vcd(sim: &NetSim, wires: &[(WireId, &str)]) -> String {
     let mut w = VcdWriter::new();
-    for &(net, name) in nets {
-        w.add_net(sim, net, name);
+    for &(wire, name) in wires {
+        w.add_wire(sim, wire, name);
     }
     w.render()
 }
@@ -188,18 +185,30 @@ pub fn export_vcd(sim: &Simulator, nets: &[(NetId, &str)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Netlist;
     use crate::time::SimTime;
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)
     }
 
+    /// `n` free wires, all watched.
+    fn wires(n: usize) -> (NetSim, Vec<WireId>) {
+        let mut nl = Netlist::new();
+        let ws: Vec<WireId> = (0..n).map(|_| nl.add_wire()).collect();
+        let mut sim = NetSim::from_netlist(nl);
+        for &w in &ws {
+            sim.watch(w);
+        }
+        (sim, ws)
+    }
+
     #[test]
     fn exports_header_and_events() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        sim.add_inverter(a, b, ps(20), ps(20));
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.add_wire(), nl.add_wire());
+        nl.add_inverter(a, b, ps(20), ps(20));
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(a);
         sim.watch(b);
         sim.schedule_input(a, ps(100), true);
@@ -218,23 +227,22 @@ mod tests {
     }
 
     #[test]
-    fn unwatched_net_dumps_current_value_only() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
+    fn unwatched_wire_dumps_current_value_only() {
+        let mut nl = Netlist::new();
+        let a = nl.add_wire();
+        let sim = NetSim::from_netlist(nl);
         let vcd = export_vcd(&sim, &[(a, "idle")]);
         assert!(vcd.contains("0!"));
         assert!(!vcd.contains('#'));
     }
 
     #[test]
-    fn synthetic_signals_mix_with_simulated_nets() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        sim.watch(a);
-        sim.schedule_input(a, ps(50), true);
+    fn synthetic_signals_mix_with_simulated_wires() {
+        let (mut sim, ws) = wires(1);
+        sim.schedule_input(ws[0], ps(50), true);
         sim.run_until(ps(100));
         let mut w = VcdWriter::new();
-        w.add_net(&sim, a, "real");
+        w.add_wire(&sim, ws[0], "real");
         w.add_signal("model", false, [(10, true), (90, false)]);
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
@@ -248,17 +256,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate VCD signal name")]
     fn rejects_duplicate_names() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let b = sim.add_net();
-        let _ = export_vcd(&sim, &[(a, "x"), (b, "x")]);
+        let (sim, ws) = wires(2);
+        let _ = export_vcd(&sim, &[(ws[0], "x"), (ws[1], "x")]);
     }
 
     #[test]
     #[should_panic(expected = "invalid VCD signal name")]
     fn rejects_whitespace_names() {
-        let mut sim = Simulator::new();
-        let a = sim.add_net();
-        let _ = export_vcd(&sim, &[(a, "bad name")]);
+        let (sim, ws) = wires(1);
+        let _ = export_vcd(&sim, &[(ws[0], "bad name")]);
     }
 }

@@ -1,8 +1,8 @@
 //! Bucketed calendar-wheel event scheduler.
 //!
-//! The reference engine's binary heap pays `O(log n)` per event plus
-//! allocator churn; at millions of events that is the hot path. The
-//! wheel exploits the bounded `m ± ε` delay model instead: every gate
+//! A binary heap pays `O(log n)` per event plus allocator churn; at
+//! millions of events that is the hot path. The wheel exploits the
+//! bounded `m ± ε` delay model instead: every gate
 //! schedules at most `max_delay` picoseconds ahead, so with a
 //! power-of-two horizon `W > max_delay` all pending events live in
 //! the window `[now, now + W)` and the bucket index `t & (W − 1)` is
@@ -28,7 +28,7 @@
 /// One scheduled value change. `gen` is checked against the wire's
 /// generation counter at dispatch; stale events are dead on arrival
 /// (the wheel never removes cancelled entries — cancellation is a
-/// counter bump, exactly as in the reference engine).
+/// counter bump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Ev {
     pub t_ps: u64,

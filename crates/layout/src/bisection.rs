@@ -71,12 +71,6 @@ impl Bisection {
         self.cut
     }
 
-    /// Returns `true` when `cell` lies in part B.
-    #[must_use]
-    pub fn in_part_b(&self, cell: CellId) -> bool {
-        self.side[cell.index()]
-    }
-
     /// Sizes of the two parts `(|A|, |B|)`.
     #[must_use]
     pub fn part_sizes(&self) -> (usize, usize) {

@@ -123,12 +123,6 @@ impl GridEmbedding {
         }
     }
 
-    /// Source grid dimensions `(rows, cols)`.
-    #[must_use]
-    pub fn src_dims(&self) -> (usize, usize) {
-        (self.src_rows, self.src_cols)
-    }
-
     /// Destination grid dimensions `(rows, cols)`.
     #[must_use]
     pub fn dst_dims(&self) -> (usize, usize) {

@@ -1,7 +1,8 @@
 //! Precomputed per-gate fault words.
 //!
-//! The legacy flow asks [`FaultPlan::gate_fault`] per site *during*
-//! circuit construction — three RNG draws and an enum per call. At a
+//! The per-site flow ([`desim::faults::inject_wire_faults`]) asks
+//! [`FaultPlan::gate_fault`] once per candidate wire — three RNG draws
+//! and an enum per call, interleaved with the engine's fault hooks. At a
 //! million gates that query belongs in a batch pass: this module
 //! compiles a plan into one packed [`FaultWord`] per gate (a `u32`
 //! column riding alongside the arena), and a single injection pass
@@ -19,8 +20,8 @@
 //!                  kind 3: delay scale in percent (1..=10000)
 //! ```
 
-use crate::arena::{SealedNetlist, WireId};
-use crate::engine::NetSim;
+use desim::arena::{GateId, SealedNetlist, WireId};
+use desim::engine::NetSim;
 use desim::time::SimTime;
 use sim_faults::{FaultPlan, GateFault};
 
@@ -136,7 +137,7 @@ pub fn inject_fault_words(
     let mut summary = InjectionSummary::default();
     for (g, word) in words.iter().enumerate() {
         let Some(fault) = word.unpack() else { continue };
-        let out: WireId = nl.gate_output(crate::arena::GateId(g as u32));
+        let out: WireId = nl.gate_output(GateId::from_index(g));
         match fault {
             GateFault::StuckAt(v) => {
                 sim.pin_wire(out, v);

@@ -1,40 +1,18 @@
-//! `netlist`: the flat struct-of-arrays netlist core — million-gate
-//! simulation as the workspace's hot path.
+//! `netlist`: million-gate workloads on the [`desim`] event engine.
 //!
-//! The reference engine ([`desim`]) models rich components (registers
-//! with setup/hold checking, C-elements) behind per-net structs and a
-//! boxed-event binary heap. That is the right tool for semantic
-//! experiments at thousands of gates; it is the wrong memory layout
-//! for the paper's actual subject — *large* arrays, where the
-//! question is how timing uncertainty scales to a million gates. This
-//! crate is the large-scale counterpart:
+//! The engine itself — the flat struct-of-arrays arena
+//! ([`Netlist`] / [`SealedNetlist`], CSR fanout) and [`NetSim`] with
+//! its calendar-wheel scheduler — lives in [`desim`], so every
+//! gate-level circuit in the workspace runs on one event loop. This
+//! crate holds what the large-scale runs add on top:
 //!
-//! * [`Netlist`] / [`SealedNetlist`] — arena-allocated gates and
-//!   wires addressed by `u32` indices, fanout as a CSR table
-//!   ([`arena`]);
-//! * [`NetSim`] — the event engine: calendar-wheel scheduler
-//!   exploiting the bounded `m ± ε` delay model ([`wheel`]), dirty-flag
-//!   ring work queue for settling, per-wire state in parallel arrays
-//!   ([`engine`]);
 //! * [`faults`] — [`sim_faults::FaultPlan`] compiled to packed
 //!   per-gate fault words, applied in one batch pass;
 //! * [`mesh`] — the 2-D wavefront mesh builder (1000×1000 fault
-//!   sweeps);
-//! * [`mirror`] — 1:1 instantiation of an arena inside the reference
-//!   engine, for the differential equivalence suite.
+//!   sweeps).
 //!
-//! Semantics (inertial cancellation, generation-counted dead events,
-//! stuck/delay/upset fault hooks, [`desim::engine::EngineStats`]
-//! counters) mirror the reference engine exactly: on any circuit both
-//! cores support, they produce byte-identical deterministic reports.
-//! Use `desim` when the circuit needs registers or timing-violation
-//! detection; use this crate when the circuit is large and built from
-//! propagation primitives.
-//!
-//! Shared topology: circuit builders describe chains as
-//! [`desim::chain::ChainStage`] lists, and both [`Netlist`] and the
-//! reference simulator implement [`desim::chain::ChainSink`], so one
-//! description constructs identical circuits in either core.
+//! The engine types are re-exported here so large-scale callers need
+//! only this crate's prelude.
 //!
 //! # Examples
 //!
@@ -54,21 +32,16 @@
 //! assert_eq!(sim.transitions_ps(b), &[(170, false)]);
 //! ```
 
-pub mod arena;
-pub mod engine;
 pub mod faults;
 pub mod mesh;
-pub mod mirror;
-mod wheel;
 
-pub use arena::{GateId, GateKind, Netlist, SealedNetlist, WireId};
-pub use engine::NetSim;
+pub use desim::arena::{GateId, GateKind, Netlist, SealedNetlist, WireId};
+pub use desim::engine::NetSim;
 
 /// The crate's commonly used types.
 pub mod prelude {
-    pub use crate::arena::{GateId, GateKind, Netlist, SealedNetlist, WireId};
-    pub use crate::engine::NetSim;
     pub use crate::faults::{gate_fault_words, inject_fault_words, FaultWord, InjectionSummary};
     pub use crate::mesh::{Mesh, MeshSpec, WaveOutcome};
-    pub use crate::mirror::{mirror_into_desim, net_of};
+    pub use desim::arena::{GateId, GateKind, Netlist, SealedNetlist, WireId};
+    pub use desim::engine::NetSim;
 }

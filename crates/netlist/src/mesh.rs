@@ -17,9 +17,9 @@
 //! [`WaveOutcome`] reads arrival times from the engine's per-wire
 //! last-change column instead of watching a million wires.
 
-use crate::arena::{Netlist, SealedNetlist, WireId};
-use crate::engine::NetSim;
 use crate::faults::{gate_fault_words, inject_fault_words, InjectionSummary};
+use desim::arena::{GateFn, Netlist, SealedNetlist, WireId};
+use desim::engine::NetSim;
 use desim::stats::sample_normal;
 use desim::time::SimTime;
 use sim_faults::FaultPlan;
@@ -99,7 +99,7 @@ impl MeshSpec {
                     _ => {
                         let north = cells[(r - 1) * self.cols + c];
                         let west = cells[r * self.cols + c - 1];
-                        nl.add_or2(north, west, out, rise, fall);
+                        nl.add_gate2(GateFn::Or, north, west, out, rise, fall);
                     }
                 }
             }
@@ -195,12 +195,16 @@ impl Mesh {
     /// Drives a rising edge into the corner under `plan`'s faults and
     /// runs to quiescence. Deterministic in `(spec, plan)`.
     ///
+    /// Transient upsets are drawn anywhere up to [`Mesh::settle_limit`]
+    /// itself, so a late one can still be propagating there; the run
+    /// therefore gets one more wavefront bound, twice the limit in all.
+    ///
     /// # Panics
     ///
-    /// Panics if the mesh fails to settle within [`Mesh::settle_limit`]
-    /// (cannot happen: the stimulus is monotone and the netlist
-    /// acyclic, so every wire changes at most a bounded number of
-    /// times).
+    /// Panics if the mesh fails to settle within twice
+    /// [`Mesh::settle_limit`] (cannot happen: the last upset strikes by
+    /// the limit, and from there the acyclic netlist settles within
+    /// one more wavefront bound).
     #[must_use]
     pub fn run_wave(&self, plan: &FaultPlan) -> WaveOutcome {
         let mut sim = NetSim::new(Arc::clone(&self.sealed));
@@ -209,7 +213,7 @@ impl Mesh {
         let faults = inject_fault_words(&mut sim, &words, limit);
         sim.schedule_input(self.input, SimTime::from_ps(10), true);
         let _ = sim
-            .run_to_quiescence(limit)
+            .run_to_quiescence(limit + limit)
             .unwrap_or_else(|e| panic!("mesh failed to settle: {e}"));
         let mut reached = 0usize;
         let mut first = u64::MAX;
@@ -296,5 +300,31 @@ mod tests {
         let heavy = mesh.run_wave(&FaultPlan::new(11, 1, FaultRates::uniform(0.25)));
         assert!(heavy.faults.total() > 0);
         assert!(heavy.reached < nominal.reached);
+    }
+
+    #[test]
+    fn late_transient_upset_settles_instead_of_panicking() {
+        // Upsets are drawn up to the settle limit itself; this plan
+        // strikes so late that the mesh is still active at the limit.
+        let mesh = MeshSpec::square(4, 0).build();
+        let plan = FaultPlan::new(
+            1,
+            0,
+            FaultRates {
+                gate_transient: 0.2,
+                ..FaultRates::none()
+            },
+        );
+        let limit = mesh.settle_limit();
+        let mut sim = NetSim::new(Arc::clone(mesh.sealed()));
+        inject_fault_words(&mut sim, &gate_fault_words(&plan, mesh.sealed()), limit);
+        sim.schedule_input(mesh.input(), SimTime::from_ps(10), true);
+        assert!(
+            sim.run_to_quiescence(limit).is_err(),
+            "the plan must keep the mesh active past the settle limit"
+        );
+        let out = mesh.run_wave(&plan);
+        assert!(out.faults.transient > 0);
+        assert_eq!(out, mesh.run_wave(&plan));
     }
 }

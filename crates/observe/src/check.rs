@@ -4,10 +4,10 @@
 //! The checker replays each track and verifies the model invariants
 //! the paper's schemes rest on:
 //!
-//! * **`monotone-time`** — the `desim` event queue delivers events in
-//!   non-decreasing sim time, so every recorded engine, clock,
-//!   handshake, and span timestamp within a lane must be monotone
-//!   (skew samples are static analyses and exempt).
+//! * **`monotone-time`** — the event engine (`desim::engine::NetSim`)
+//!   dispatches events in non-decreasing sim time, so every recorded
+//!   engine, clock, handshake, and span timestamp within a lane must
+//!   be monotone (skew samples are static analyses and exempt).
 //! * **`causality`** — a scheduled change can only fire at or after
 //!   the moment it was scheduled.
 //! * **`clock-overlap`** — assumption A4: the two phases of a

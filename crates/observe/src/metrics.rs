@@ -2,7 +2,7 @@
 //! log-scale histograms.
 //!
 //! The registry is the *aggregation* point, not the hot path: code on
-//! a hot loop (the desim event loop, a sweep worker) increments plain
+//! a hot loop (the `NetSim` event loop, a sweep worker) increments plain
 //! local `u64` fields and flushes them here once, after the loop.
 //! Snapshots serialize with sorted keys, so two registries built from
 //! the same events produce byte-identical JSON regardless of insertion
@@ -44,11 +44,6 @@ impl Metrics {
             .entry(name.to_owned())
             .or_default()
             .record(value);
-    }
-
-    /// Merges a whole histogram into the named slot.
-    pub fn observe_all(&mut self, name: &str, hist: &LogHistogram) {
-        self.hists.entry(name.to_owned()).or_default().merge(hist);
     }
 
     /// Current value of a counter (zero when absent).

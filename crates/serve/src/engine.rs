@@ -190,12 +190,6 @@ impl Engine {
         }
     }
 
-    /// The experiments this engine can serve, in registry order.
-    #[must_use]
-    pub fn experiment_names(&self) -> Vec<&'static str> {
-        self.registry.names()
-    }
-
     /// Serves one request: cache hit, coalesced wait, or fresh run.
     ///
     /// # Errors

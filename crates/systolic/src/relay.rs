@@ -64,11 +64,6 @@ impl<A: ArrayAlgorithm> Relayed<A> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped algorithm.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
     /// Unwraps the adapter.
     #[must_use]
     pub fn into_inner(self) -> A {

@@ -677,12 +677,6 @@ impl EdgeDelays {
         }
     }
 
-    /// Whether the edge into `node` was explicitly annotated.
-    #[must_use]
-    pub fn is_annotated(&self, node: NodeId) -> bool {
-        self.annotated[node.index()]
-    }
-
     /// Number of explicitly annotated edges.
     #[must_use]
     pub fn annotated_count(&self) -> usize {

@@ -10,7 +10,7 @@
 # byte-identical to an uninterrupted single-process run).
 #
 # Usage: scripts/chaos_smoke.sh [BIN_DIR]
-#   BIN_DIR   directory holding e13_recovery/explore/sweep_shard/
+#   BIN_DIR   directory holding experiments/explore/sweep_shard/
 #             trace_check (default target/release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,10 +31,10 @@ run() {
 }
 
 # --- Simulated chaos: e13's recovery harness -------------------------
-# The binary asserts in-report: storm-rate episodes leave the rigid
+# The experiment asserts in-report: storm-rate episodes leave the rigid
 # network with unrecovered spans at every size, while TRIX and PALS
 # end every cell with zero unrecovered spans and bounded p99 latency.
-run "$BIN/e13_recovery" --fast --trace "$OUT/e13_trace.json" \
+run "$BIN/experiments" e13 --fast --trace "$OUT/e13_trace.json" \
     | tee "$OUT/e13.log"
 grep -q "\[OK\]" "$OUT/e13.log" || fail "e13 in-report asserts did not pass"
 grep -q "unrecovered" "$OUT/e13.log" || fail "e13 report lost its recovery table"

@@ -38,12 +38,12 @@ run target/release/netlist_bench --out target/bench/BENCH_netlist.json --min-eps
 run target/release/bench_regress --compare target/bench/BENCH_netlist.json --baselines baselines
 # Trace smoke: one experiment through --trace end to end, then the
 # standalone checker over the exported Perfetto file.
-run target/release/e6_inverter_string --fast --trace target/bench/e6_trace.json
+run target/release/experiments e6 --fast --trace target/bench/e6_trace.json
 run target/release/trace_check target/bench/e6_trace.json
 # Fault-injection smoke: e12's Monte-Carlo degradation sweep with its
 # in-report asserts, plus its fault-event trace back through the
 # checker (fault_injected markers must keep handshake lanes legal).
-run target/release/e12_graceful_degradation --fast --trace target/bench/e12_trace.json
+run target/release/experiments e12 --fast --trace target/bench/e12_trace.json
 run target/release/trace_check target/bench/e12_trace.json
 # Chaos smoke: e13's fault-episode recovery asserts (rigid never
 # recovers, TRIX/PALS heal every span) with its episode trace through

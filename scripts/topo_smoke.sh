@@ -9,7 +9,7 @@
 # the BENCH_e14.json snapshot against the committed baseline.
 #
 # Usage: scripts/topo_smoke.sh [BIN_DIR]
-#   BIN_DIR   directory holding e14_topo/explore/trace_check/
+#   BIN_DIR   directory holding experiments/explore/trace_check/
 #             bench_regress (default target/release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,11 +30,11 @@ run() {
 }
 
 # --- e14: the topology scorecard -------------------------------------
-# The binary asserts in-report: quadrant worst-pair skew strictly
+# The experiment asserts in-report: quadrant worst-pair skew strictly
 # exceeds the equalized H-tree at every size, the Monte-Carlo max
 # respects the analytic worst case, the GCS log-diameter line
 # undercuts the passive tree, and the whole SDF corpus behaves.
-run "$BIN/e14_topo" --fast --trace "$OUT/e14_trace.json" \
+run "$BIN/experiments" e14 --fast --trace "$OUT/e14_trace.json" \
     | tee "$OUT/e14.log"
 grep -q "\[OK\]" "$OUT/e14.log" || fail "e14 in-report asserts did not pass"
 grep -q "quad s1f2" "$OUT/e14.log" || fail "e14 report lost its topology table"
