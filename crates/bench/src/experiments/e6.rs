@@ -12,10 +12,10 @@
 //!   across fabricated chips scales like √n (the paper's yield
 //!   analysis), not like n. The per-chip fabrications fan out over
 //!   [`sim_runtime::ParallelSweep`];
-//! * the flat netlist core then scales the pipelined clock train to a
+//! * the same engine then scales the pipelined clock train to a
 //!   1,000,000-stage string (~500× the paper's chip) and runs an
 //!   e12-style fault sweep on a 1000×1000 wavefront mesh — the
-//!   million-gate regime the arena engine exists for.
+//!   million-gate regime its flat arena is laid out for.
 
 use crate::{f, Table};
 use desim::prelude::*;

@@ -79,10 +79,9 @@ pub enum GateKind {
     Buffer,
     /// Inverter (`d_rise`/`d_fall` delays).
     Inverter,
-    /// Two-input gate given by its truth table: the output is bit
-    /// `a | b << 1` of the table (`d_rise`/`d_fall` delays); built from
-    /// a [`GateFn`].
-    Gate2(u8),
+    /// Two-input gate, evaluated through its function's truth table
+    /// (`d_rise`/`d_fall` delays).
+    Gate2(GateFn),
     /// One-shot pulse buffer: fires a fixed-width pulse on each
     /// rising input edge (`d_rise` = propagation delay, `d_fall` =
     /// pulse width).
@@ -96,44 +95,36 @@ pub enum GateKind {
     Register,
 }
 
-/// Boolean function of a two-input gate, compiled to a
-/// [`GateKind::Gate2`] truth table.
+// The kind column stays one byte per gate: `GateFn`'s unused
+// discriminant values hold the other kinds.
+const _: () = assert!(std::mem::size_of::<GateKind>() == 1);
+
+/// Boolean function of a two-input gate. Each discriminant is the
+/// function's truth table: bit `a | b << 1` is the output for inputs
+/// `(a, b)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum GateFn {
     /// Logical AND.
-    And,
+    And = 0b1000,
     /// Logical OR.
-    Or,
+    Or = 0b1110,
     /// Logical NAND.
-    Nand,
+    Nand = 0b0111,
     /// Logical NOR.
-    Nor,
+    Nor = 0b0001,
     /// Logical XOR.
-    Xor,
+    Xor = 0b0110,
     /// Logical XNOR (equivalence).
-    Xnor,
+    Xnor = 0b1001,
 }
 
 impl GateFn {
-    /// The truth table: bit `a | b << 1` is the output for inputs
-    /// `(a, b)`.
-    #[must_use]
-    pub(crate) const fn table(self) -> u8 {
-        match self {
-            GateFn::And => 0b1000,
-            GateFn::Or => 0b1110,
-            GateFn::Nand => 0b0111,
-            GateFn::Nor => 0b0001,
-            GateFn::Xor => 0b0110,
-            GateFn::Xnor => 0b1001,
-        }
+    /// Evaluates the function by truth-table lookup.
+    #[inline]
+    pub(crate) fn eval(self, a: bool, b: bool) -> bool {
+        (self as u8 >> (u8::from(a) | u8::from(b) << 1)) & 1 != 0
     }
-}
-
-/// Looks `(a, b)` up in a two-input truth table.
-#[inline]
-pub(crate) fn eval_table(table: u8, a: bool, b: bool) -> bool {
-    (table >> (u8::from(a) | u8::from(b) << 1)) & 1 != 0
 }
 
 /// A register's timing windows, in picoseconds (zero disables the
@@ -287,7 +278,7 @@ impl Netlist {
         fall: SimTime,
     ) -> GateId {
         let (r, f) = (delay_ps(rise, "gate delay"), delay_ps(fall, "gate delay"));
-        self.push_gate(GateKind::Gate2(func.table()), a, Some(b), output, r, f)
+        self.push_gate(GateKind::Gate2(func), a, Some(b), output, r, f)
     }
 
     /// Adds a Muller C-element: when inputs `a` and `b` agree, the
@@ -564,7 +555,7 @@ mod tests {
                     GateFn::Xor => a ^ b,
                     GateFn::Xnor => a == b,
                 };
-                assert_eq!(eval_table(func.table(), a, b), want, "{func:?}({a}, {b})");
+                assert_eq!(func.eval(a, b), want, "{func:?}({a}, {b})");
             }
         }
     }

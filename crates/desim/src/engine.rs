@@ -40,7 +40,7 @@
 //! discipline: waveform watches and the [`TraceBuf`] lifecycle hooks
 //! cost a predictable untaken branch each when disabled.
 
-use crate::arena::{eval_table, GateKind, SealedNetlist, WireId, NONE};
+use crate::arena::{GateKind, SealedNetlist, WireId, NONE};
 use crate::time::SimTime;
 use crate::wheel::{Ev, Wheel};
 use sim_observe::{TraceBuf, TraceEvent};
@@ -256,11 +256,8 @@ pub struct NetSim {
     /// Scheduled SEU upsets, sorted by `(time, wire)`.
     upsets: Vec<(u64, u32)>,
     next_upset: usize,
-    /// The wheel bucket being dispatched (buffers circulate). Entries
-    /// from `drain_next` on are still pending: only a budgeted run
-    /// that stops mid-instant leaves any.
+    /// Scratch bucket for wheel dispatch (buffers circulate).
     drain: Vec<Ev>,
-    drain_next: usize,
     // ---- fanout work queue ----
     ring: VecDeque<u32>,
     dirty: Vec<bool>,
@@ -305,7 +302,6 @@ impl NetSim {
             upsets: Vec::new(),
             next_upset: 0,
             drain: Vec::new(),
-            drain_next: 0,
             ring: VecDeque::new(),
             dirty: vec![false; n_gates],
             now_ps: 0,
@@ -324,9 +320,9 @@ impl NetSim {
                     sim.value[out] = v;
                     sim.scheduled[out] = v;
                 }
-                GateKind::Gate2(table) => {
+                GateKind::Gate2(func) => {
                     let b = nl.in_b[g] as usize;
-                    let v = eval_table(table, sim.value[a], sim.value[b]);
+                    let v = func.eval(sim.value[a], sim.value[b]);
                     if sim.value[out] != v {
                         let delay = if v { nl.d_rise[g] } else { nl.d_fall[g] };
                         sim.schedule_change(out, u64::from(delay), v);
@@ -559,9 +555,7 @@ impl NetSim {
     /// Events waiting for dispatch (dead events included).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.wheel.len()
-            + (self.far.len() - self.far_next)
-            + (self.drain.len() - self.drain_next)
+        self.wheel.len() + (self.far.len() - self.far_next)
     }
 
     /// Snapshot of the cumulative event-loop counters.
@@ -631,14 +625,6 @@ impl NetSim {
     /// upsets, then far-list entries, then the wheel bucket (see the
     /// module docs).
     fn step_once(&mut self, limit: u64, max_events: u64) -> Step {
-        if self.drain_next < self.drain.len() {
-            // The rest of an instant a budgeted run stopped inside.
-            return if self.drain[self.drain_next].t_ps <= limit {
-                Step::Did(self.apply_drain(max_events))
-            } else {
-                Step::Beyond
-            };
-        }
         let next_wheel = self.wheel.peek_earliest(self.now_ps);
         let next_far = self.far.get(self.far_next).map(|e| e.t_ps);
         let next_ev = match (next_wheel, next_far) {
@@ -666,35 +652,27 @@ impl NetSim {
                     self.apply(ev);
                     Step::Did(1)
                 } else {
+                    let mut batch = std::mem::take(&mut self.drain);
                     self.wheel
-                        .pop_earliest_into(self.now_ps, &mut self.drain)
+                        .pop_earliest_into(self.now_ps, &mut batch)
                         .expect("peeked non-empty wheel");
-                    Step::Did(self.apply_drain(max_events))
+                    let n = batch.len().min(usize::try_from(max_events).unwrap_or(usize::MAX));
+                    // Apply sequentially: a cancellation mid-batch must
+                    // kill later same-time entries.
+                    for &ev in &batch[..n] {
+                        self.apply(ev);
+                    }
+                    if n < batch.len() {
+                        // A budgeted run stopped inside this instant.
+                        self.wheel.push_front(&batch[n..]);
+                    }
+                    batch.clear();
+                    self.drain = batch;
+                    Step::Did(n as u64)
                 }
             }
             _ => Step::Beyond,
         }
-    }
-
-    /// Applies up to `max_events` of the drained same-instant bucket,
-    /// in push order, and returns how many it applied.
-    fn apply_drain(&mut self, max_events: u64) -> u64 {
-        let mut batch = std::mem::take(&mut self.drain);
-        let start = std::mem::replace(&mut self.drain_next, 0);
-        let room = usize::try_from(max_events).unwrap_or(usize::MAX);
-        let end = start + (batch.len() - start).min(room);
-        // Apply sequentially: a cancellation mid-batch must kill later
-        // same-time entries.
-        for &ev in &batch[start..end] {
-            self.apply(ev);
-        }
-        if end < batch.len() {
-            self.drain_next = end;
-        } else {
-            batch.clear();
-        }
-        self.drain = batch;
-        (end - start) as u64
     }
 
     /// Schedules a wire change with inertial-delay semantics: changes
@@ -873,9 +851,9 @@ impl NetSim {
                 let delay = if out_val { rise } else { fall };
                 self.schedule_change(out, self.now_ps + delay, out_val);
             }
-            GateKind::Gate2(table) => {
+            GateKind::Gate2(func) => {
                 let b = self.nl.in_b[g] as usize;
-                let out_val = eval_table(table, self.value[a], self.value[b]);
+                let out_val = func.eval(self.value[a], self.value[b]);
                 if self.scheduled[out] != out_val {
                     let delay = if out_val { rise } else { fall };
                     self.schedule_change(out, self.now_ps + delay, out_val);
@@ -889,14 +867,22 @@ impl NetSim {
                     self.schedule_change(out, t0 + fall, false);
                 }
             }
-            GateKind::CElement => {
-                let b = self.nl.in_b[g] as usize;
-                let va = self.value[a];
-                if va == self.value[b] && self.scheduled[out] != va {
-                    self.schedule_change(out, self.now_ps + rise, va);
-                }
-            }
+            GateKind::CElement => self.eval_c_element(g),
             GateKind::Register => self.eval_register(g, changed),
+        }
+    }
+
+    /// A C-element's reaction: follow the inputs when they agree, hold
+    /// otherwise. Out of line, like [`NetSim::eval_register`], so the
+    /// propagation arms above stay compact.
+    #[inline(never)]
+    fn eval_c_element(&mut self, g: usize) {
+        let (a, b) = (self.nl.in_a[g] as usize, self.nl.in_b[g] as usize);
+        let out = self.nl.outs[g] as usize;
+        let va = self.value[a];
+        if va == self.value[b] && self.scheduled[out] != va {
+            let delay = u64::from(self.nl.d_rise[g]);
+            self.schedule_change(out, self.now_ps + delay, va);
         }
     }
 

@@ -106,6 +106,23 @@ impl Wheel {
         self.len += 1;
     }
 
+    /// Puts popped same-time events back at the front of their bucket,
+    /// ahead of anything pushed since, so dispatch resumes in the order
+    /// it stopped. Only a budgeted run that halts mid-instant needs
+    /// this, so it stays off the dispatch path.
+    #[cold]
+    #[inline(never)]
+    pub fn push_front(&mut self, evs: &[Ev]) {
+        let Some(first) = evs.first() else { return };
+        let b = (first.t_ps & self.mask) as usize;
+        let bucket = &mut self.buckets[b];
+        debug_assert!(evs.iter().chain(bucket.iter()).all(|e| e.t_ps == first.t_ps));
+        bucket.splice(0..0, evs.iter().copied());
+        self.words[b / 64] |= 1 << (b % 64);
+        self.summary[b / (64 * 64)] |= 1 << ((b / 64) % 64);
+        self.len += evs.len();
+    }
+
     /// Fire time of the earliest pending bucket at or after `now_ps`,
     /// or `None` when the wheel is empty.
     pub fn peek_earliest(&self, now_ps: u64) -> Option<u64> {
